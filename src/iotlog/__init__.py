@@ -66,7 +66,6 @@ from .sensors import (
     UnknownSourceError,
     build_index,
     load_stream,
-    range_query,
 )
 from .xes import (
     Attribute,

@@ -136,29 +136,24 @@ def index_for_plan(plan: EnrichmentPlan, base_dir=None) -> StreamIndex:
 
 # --- correlation ------------------------------------------------------------
 
-
-def _nearest_before(index: StreamIndex, source_id: str, t: datetime) -> list[SensorReading]:
-    reading = index.latest_at_or_before(source_id, t)
-    return [reading] if reading is not None else []
+_NEAREST = (CorrelationStrategy.NEAREST_BEFORE, CorrelationStrategy.NEAREST_WITHIN)
 
 
-def _nearest_within(
-    index: StreamIndex, source_id: str, t: datetime, window_seconds: float
+def _nearest(
+    correlation: Correlation, index: StreamIndex, source_id: str, t: datetime
 ) -> list[SensorReading]:
-    window = timedelta(seconds=window_seconds)
-    best: SensorReading | None = None
-    best_key = None
-    for reading in index.range_query(source_id, t - window, t + window):
-        key = (abs(reading.timestamp - t), reading.timestamp, reading.sensor_id)
-        if best_key is None or key < best_key:
-            best, best_key = reading, key
+    """The reading a nearest_* strategy picks for the anchor t, if there is one."""
+    if correlation.strategy is CorrelationStrategy.NEAREST_BEFORE:
+        best = index.latest_at_or_before(source_id, t)
+    else:
+        assert correlation.window_seconds is not None
+        window = timedelta(seconds=correlation.window_seconds)
+        best, best_key = None, None
+        for reading in index.range_query(source_id, t - window, t + window):
+            key = (abs(reading.timestamp - t), reading.timestamp, reading.sensor_id)
+            if best_key is None or key < best_key:
+                best, best_key = reading, key
     return [best] if best is not None else []
-
-
-def _span(events: list[Event]) -> tuple[datetime, datetime] | None:
-    if not events:
-        return None
-    return events[0].timestamp, events[-1].timestamp
 
 
 def correlate_event(
@@ -172,14 +167,8 @@ def correlate_event(
 ) -> tuple[list[SensorReading], str | None]:
     """Readings matched to one event. Trace-scoped strategies fall back to
     the whole span, so every event of the trace sees the same readings."""
-    if correlation.strategy is CorrelationStrategy.NEAREST_BEFORE:
-        return _nearest_before(index, source_id, event.timestamp), None
-    if correlation.strategy is CorrelationStrategy.NEAREST_WITHIN:
-        assert correlation.window_seconds is not None
-        return (
-            _nearest_within(index, source_id, event.timestamp, correlation.window_seconds),
-            None,
-        )
+    if correlation.strategy in _NEAREST:
+        return _nearest(correlation, index, source_id, event.timestamp), None
     return correlate_trace(correlation, index, source_id, events, trace_attrs, case_id)
 
 
@@ -196,10 +185,9 @@ def correlate_trace(
     The nearest_* strategies anchor on the last event when applied at trace
     scope. An empty trace has no span and correlates with nothing.
     """
-    span = _span(events)
-    if span is None:
+    if not events:
         return [], None
-    first, last = span
+    first, last = events[0].timestamp, events[-1].timestamp
     if correlation.strategy is CorrelationStrategy.SPAN_OVERLAP:
         return index.range_query(source_id, first, last), None
     if correlation.strategy is CorrelationStrategy.SUBJECT_KEY_EQUALS:
@@ -224,19 +212,21 @@ def correlate_trace(
             r for r in index.subject_readings(source_id, subject) if first <= r.timestamp <= last
         ]
         return readings, None
-    if correlation.strategy is CorrelationStrategy.NEAREST_BEFORE:
-        return _nearest_before(index, source_id, last), None
-    assert correlation.window_seconds is not None
-    return _nearest_within(index, source_id, last, correlation.window_seconds), None
+    return _nearest(correlation, index, source_id, last), None
 
 
 # --- derivation -------------------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    """An int or a float; a bool is an int to isinstance, but not a number here."""
+    return type(value) is not bool and isinstance(value, (int, float))
+
+
 def _numeric_values(readings: list[SensorReading], context: str) -> list[float]:
     values = []
     for position, reading in enumerate(readings):
-        if type(reading.value) is bool or not isinstance(reading.value, (int, float)):
+        if not _is_number(reading.value):
             raise DerivationError(
                 f"{context}: reading {position} ({reading.sensor_id!r} at "
                 f"{reading.timestamp.isoformat()}) is not numeric"
@@ -251,7 +241,7 @@ def _coerce(value, output_type: str, context: str) -> AttrValue:
             return value
         raise DerivationError(f"{context}: cannot coerce {value!r} to boolean")
     if output_type == "float":
-        if type(value) is not bool and isinstance(value, (int, float)):
+        if _is_number(value):
             return float(value)
         raise DerivationError(f"{context}: cannot coerce {value!r} to float")
     if output_type == "int":
@@ -352,7 +342,7 @@ def derive_events(
     derived: list[tuple[Event, SensorReading]] = []
     in_run = False
     for position, reading in enumerate(readings):
-        if type(reading.value) is bool or not isinstance(reading.value, (int, float)):
+        if not _is_number(reading.value):
             raise DerivationError(
                 f"rule {rule.rule_id!r}: reading {position} in {rule.source_id!r} is not numeric"
             )
@@ -372,15 +362,6 @@ def derive_events(
         else:
             in_run = False
     return derived, warning
-
-
-def _already_derived(events: list[Event], candidate: Event, rule_id: str) -> bool:
-    return any(
-        ev.activity == candidate.activity
-        and ev.timestamp == candidate.timestamp
-        and ev.get(DERIVED_FROM_KEY) == rule_id
-        for ev in events
-    )
 
 
 # --- the enrichment pass ----------------------------------------------------
@@ -412,12 +393,146 @@ def _attach(
     return True, None
 
 
-def _event_with_attrs(event: Event, attrs: dict[str, AttrValue]) -> Event:
-    return Event(
-        activity=event.activity,
-        timestamp=event.timestamp,
-        attributes=tuple(Attribute(k, v) for k, v in attrs.items()),
+def _enrich_trace(
+    trace: Trace, index: StreamIndex, plan: EnrichmentPlan
+) -> tuple[Trace, list[AuditRecord], list[str], list[tuple[str, float]]]:
+    """Run the plan over one trace.
+
+    Returns the enriched trace, its audit records, its warnings and its
+    process-report contributions as (report key, value) pairs.
+    """
+    case_id = trace.case_id
+    events = list(trace.events)
+    trace_attrs: dict[str, AttrValue] = {a.key: a.value for a in trace.attributes}
+    audit: list[AuditRecord] = []
+    warnings: list[str] = []
+    contributions: list[tuple[str, float]] = []
+    policy = plan.collision_policy
+
+    # Step 1: event derivation rules, all against the original span. A
+    # candidate whose (activity, timestamp, rule) is already in the trace,
+    # or was derived just before it, is dropped.
+    candidates: list[tuple[EventDerivationRule, Event, SensorReading]] = []
+    for rule in plan.event_rules:
+        derived, warning = derive_events(rule, index, events, trace_attrs, case_id)
+        if warning:
+            warnings.append(warning)
+        candidates += [(rule, ev, trigger) for ev, trigger in derived]
+    if candidates:
+        seen = {(ev.activity, ev.timestamp, ev.get(DERIVED_FROM_KEY)) for ev in events}
+        inserted = []
+        for rule, ev, trigger in candidates:
+            key = (ev.activity, ev.timestamp, rule.rule_id)
+            if key not in seen:
+                seen.add(key)
+                inserted.append((rule, ev, trigger))
+        merged = events + [ev for _, ev, _ in inserted]
+        # Stable: on equal timestamps original events come first, then
+        # derived ones in rule order, then in stream order.
+        order = sorted(range(len(merged)), key=lambda i: merged[i].timestamp)
+        events = [merged[i] for i in order]
+        position = {i: pos for pos, i in enumerate(order)}
+        for i, (rule, ev, trigger) in enumerate(inserted, start=len(trace.events)):
+            audit.append(
+                AuditRecord(
+                    kind="derived_event",
+                    case_id=case_id,
+                    binding_id=rule.rule_id,
+                    source_id=rule.source_id,
+                    key=ev.activity,
+                    value=ev.timestamp,
+                    readings=(trigger,),
+                    event_index=position[i],
+                )
+            )
+
+    # Step 2: bindings, in plan order, on the evolving trace.
+    for binding in plan.bindings:
+        kind = binding.target.kind
+        key = binding.target.key
+        source_id = binding.source_id
+        if kind is TargetKind.EVENT_ATTRIBUTE:
+            wanted = binding.target.activity_filter
+            warned = False
+            for pos, event in enumerate(events):
+                if wanted and event.activity not in wanted:
+                    continue
+                readings, warning = correlate_event(
+                    binding.correlation, index, source_id, event, events, trace_attrs, case_id
+                )
+                if warning:
+                    if not warned:
+                        warnings.append(warning)
+                        warned = True
+                    continue
+                value = derive_value(
+                    binding.derivation, readings, f"binding {binding.binding_id!r}"
+                )
+                if value is None:
+                    continue
+                attrs = {a.key: a.value for a in event.attributes}
+                written, replaced = _attach(
+                    attrs, key, value, policy, case_id, "event", binding.binding_id
+                )
+                if not written:
+                    continue
+                attributes = tuple(Attribute(k, v) for k, v in attrs.items())
+                events[pos] = Event(event.activity, event.timestamp, attributes)
+                audit.append(
+                    AuditRecord(
+                        kind="event_attribute",
+                        case_id=case_id,
+                        binding_id=binding.binding_id,
+                        source_id=source_id,
+                        key=key,
+                        value=value,
+                        readings=tuple(readings),
+                        event_index=pos,
+                        replaced=replaced,
+                    )
+                )
+            continue
+
+        readings, warning = correlate_trace(
+            binding.correlation, index, source_id, events, trace_attrs, case_id
+        )
+        if warning:
+            warnings.append(warning)
+            continue
+        value = derive_value(binding.derivation, readings, f"binding {binding.binding_id!r}")
+        if value is None:
+            continue
+        if kind is TargetKind.CASE_ATTRIBUTE:
+            written, replaced = _attach(
+                trace_attrs, key, value, policy, case_id, "case", binding.binding_id
+            )
+            if written:
+                audit.append(
+                    AuditRecord(
+                        kind="case_attribute",
+                        case_id=case_id,
+                        binding_id=binding.binding_id,
+                        source_id=source_id,
+                        key=key,
+                        value=value,
+                        readings=tuple(readings),
+                        replaced=replaced,
+                    )
+                )
+        else:
+            if not _is_number(value):
+                raise DerivationError(
+                    f"binding {binding.binding_id!r}: process report entries must be "
+                    f"numeric, got {value!r}"
+                )
+            contributions.append((key, float(value)))
+
+    new_trace = Trace(
+        case_id=case_id,
+        attributes=tuple(Attribute(k, v) for k, v in trace_attrs.items()),
+        events=tuple(events),
     )
+    return new_trace, audit, warnings, contributions
 
 
 def enrich(log: Log, index: StreamIndex, plan: EnrichmentPlan) -> EnrichmentResult:
@@ -436,150 +551,26 @@ def enrich(log: Log, index: StreamIndex, plan: EnrichmentPlan) -> EnrichmentResu
     if violations:
         raise InvalidLogError(violations)
 
+    traces: list[Trace] = []
     audit: list[AuditRecord] = []
     warnings: list[str] = []
-    policy = plan.collision_policy
-    process_bindings = [
-        b for b in plan.bindings if b.target.kind is TargetKind.PROCESS_REPORT_ENTRY
-    ]
-    contributions: dict[str, list[tuple[str, float]]] = {b.target.key: [] for b in process_bindings}
-
-    new_traces = []
+    contributions: dict[str, list[tuple[str, float]]] = {
+        b.target.key: [] for b in plan.bindings if b.target.kind is TargetKind.PROCESS_REPORT_ENTRY
+    }
     for trace in log.traces:
-        events = list(trace.events)
-        trace_attrs: dict[str, AttrValue] = {a.key: a.value for a in trace.attributes}
+        new_trace, trace_audit, trace_warnings, values = _enrich_trace(trace, index, plan)
+        traces.append(new_trace)
+        audit += trace_audit
+        warnings += trace_warnings
+        for key, value in values:
+            contributions[key].append((trace.case_id, value))
 
-        # Step 1: event derivation rules, all against the original span.
-        inserted: list[tuple[EventDerivationRule, Event, SensorReading]] = []
-        for rule in plan.event_rules:
-            candidates, warning = derive_events(rule, index, events, trace_attrs, trace.case_id)
-            if warning:
-                warnings.append(warning)
-            for candidate, trigger in candidates:
-                if not _already_derived(
-                    events + [ev for _, ev, _ in inserted], candidate, rule.rule_id
-                ):
-                    inserted.append((rule, candidate, trigger))
-        if inserted:
-            events = sorted(events + [ev for _, ev, _ in inserted], key=lambda e: e.timestamp)
-            for rule, ev, trigger in inserted:
-                audit.append(
-                    AuditRecord(
-                        kind="derived_event",
-                        case_id=trace.case_id,
-                        binding_id=rule.rule_id,
-                        source_id=rule.source_id,
-                        key=ev.activity,
-                        value=ev.timestamp,
-                        readings=(trigger,),
-                        event_index=events.index(ev),
-                    )
-                )
-
-        # Step 2: bindings, in plan order, on the evolving trace.
-        for binding in plan.bindings:
-            kind = binding.target.kind
-            key = binding.target.key
-            if kind is TargetKind.EVENT_ATTRIBUTE:
-                wanted = binding.target.activity_filter
-                warned = False
-                for pos, event in enumerate(events):
-                    if wanted and event.activity not in wanted:
-                        continue
-                    readings, warning = correlate_event(
-                        binding.correlation,
-                        index,
-                        binding.source_id,
-                        event,
-                        events,
-                        trace_attrs,
-                        trace.case_id,
-                    )
-                    if warning:
-                        if not warned:
-                            warnings.append(warning)
-                            warned = True
-                        continue
-                    value = derive_value(
-                        binding.derivation, readings, f"binding {binding.binding_id!r}"
-                    )
-                    if value is None:
-                        continue
-                    attrs = {a.key: a.value for a in event.attributes}
-                    written, replaced = _attach(
-                        attrs, key, value, policy, trace.case_id, "event", binding.binding_id
-                    )
-                    if not written:
-                        continue
-                    events[pos] = _event_with_attrs(event, attrs)
-                    audit.append(
-                        AuditRecord(
-                            kind="event_attribute",
-                            case_id=trace.case_id,
-                            binding_id=binding.binding_id,
-                            source_id=binding.source_id,
-                            key=key,
-                            value=value,
-                            readings=tuple(readings),
-                            event_index=pos,
-                            replaced=replaced,
-                        )
-                    )
-                continue
-
-            readings, warning = correlate_trace(
-                binding.correlation,
-                index,
-                binding.source_id,
-                events,
-                trace_attrs,
-                trace.case_id,
-            )
-            if warning:
-                warnings.append(warning)
-                continue
-            value = derive_value(binding.derivation, readings, f"binding {binding.binding_id!r}")
-            if value is None:
-                continue
-            if kind is TargetKind.CASE_ATTRIBUTE:
-                written, replaced = _attach(
-                    trace_attrs, key, value, policy, trace.case_id, "case", binding.binding_id
-                )
-                if written:
-                    audit.append(
-                        AuditRecord(
-                            kind="case_attribute",
-                            case_id=trace.case_id,
-                            binding_id=binding.binding_id,
-                            source_id=binding.source_id,
-                            key=key,
-                            value=value,
-                            readings=tuple(readings),
-                            replaced=replaced,
-                        )
-                    )
-            else:
-                if type(value) is bool or not isinstance(value, (int, float)):
-                    raise DerivationError(
-                        f"binding {binding.binding_id!r}: process report entries must be "
-                        f"numeric, got {value!r}"
-                    )
-                contributions[binding.target.key].append((trace.case_id, float(value)))
-
-        new_traces.append(
-            Trace(
-                case_id=trace.case_id,
-                attributes=tuple(Attribute(k, v) for k, v in trace_attrs.items()),
-                events=tuple(events),
-            )
-        )
-
-    entries: dict[str, float | None] = {}
-    for b in process_bindings:
-        values = [v for _, v in contributions[b.target.key]]
-        entries[b.target.key] = sum(values) / len(values) if values else None
+    entries = {
+        key: sum(v for _, v in pairs) / len(pairs) if pairs else None
+        for key, pairs in contributions.items()
+    }
     return EnrichmentResult(
-        log=Log(traces=tuple(new_traces), metadata=log.metadata),
+        log=Log(traces=tuple(traces), metadata=log.metadata),
         report=ProcessContextReport(
             entries=entries,
             case_count=len(log.traces),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime
@@ -140,9 +141,6 @@ class StreamIndex:
         idx = bisect_right(self._timestamps[source_id], to_utc_ms(t))
         return stream.readings[idx - 1] if idx else None
 
-    def subject_positions(self, subject_key: str) -> list[tuple[str, int]]:
-        return list(self._by_subject.get(subject_key, ()))
-
     def subject_readings(self, source_id: str, subject_key: str) -> list[SensorReading]:
         """Readings of one stream carrying the given subject key, in order."""
         stream = self.stream(source_id)
@@ -158,12 +156,6 @@ def build_index(streams: Iterable[SensorStream]) -> StreamIndex:
     return StreamIndex(streams)
 
 
-def range_query(
-    index: StreamIndex, source_id: str, t1: datetime, t2: datetime
-) -> list[SensorReading]:
-    return index.range_query(source_id, t1, t2)
-
-
 # --- file loading -----------------------------------------------------------
 
 _OPTIONAL_COLUMNS = ("sensor_id", "unit", "subject_key", "lon", "lat")
@@ -171,11 +163,12 @@ _OPTIONAL_COLUMNS = ("sensor_id", "unit", "subject_key", "lon", "lat")
 
 def _parse_value(raw, value_type: str, *, from_json: bool) -> ReadingValue:
     if value_type == "decimal":
-        if from_json:
-            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                raise ValueError(f"expected a number, got {raw!r}")
-            return float(raw)
-        return float(raw)
+        if from_json and (isinstance(raw, bool) or not isinstance(raw, (int, float))):
+            raise ValueError(f"expected a number, got {raw!r}")
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"decimal value {raw!r} is not finite")
+        return value
     if value_type == "boolean":
         if from_json:
             if not isinstance(raw, bool):
@@ -269,6 +262,6 @@ def _load_jsonl(path: Path, source: SourceDecl) -> list[SensorReading]:
                 if not isinstance(record, dict):
                     raise ValueError("each line must be a JSON object")
                 readings.append(_reading_from_fields(record, source, from_json=True))
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise SensorIngestError(str(exc), path=str(path), row=row_number) from exc
     return readings

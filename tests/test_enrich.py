@@ -695,3 +695,141 @@ def test_subject_warning_emitted_once_per_binding_and_trace():
     )
     result = enrich(log, index, plan)
     assert len(result.warnings) == 1
+
+
+# --- derived-event insertion vs brute force -----------------------------------------
+
+
+def reference_insertion(trace, index, rules):
+    """The trace's events after step 1, and (rule_id, timestamp, event_index)
+    per inserted event, by a linear dedup over everything present so far and
+    a stable sort on timestamp."""
+    events = list(trace.events)
+    attrs = {a.key: a.value for a in trace.attributes}
+    inserted = []
+    for r in rules:
+        candidates, _ = derive_events(r, index, events, attrs, trace.case_id)
+        for candidate, _ in candidates:
+            present = events + [e for _, e in inserted]
+            if not any(
+                e.activity == candidate.activity
+                and e.timestamp == candidate.timestamp
+                and e.get("derived_from") == r.rule_id
+                for e in present
+            ):
+                inserted.append((r.rule_id, candidate))
+    merged = sorted(events + [e for _, e in inserted], key=lambda e: e.timestamp)
+    return merged, [(rule_id, e.timestamp, merged.index(e)) for rule_id, e in inserted]
+
+
+def enrich_against_reference(log, index, rules):
+    """Enrich with event rules only and check every trace against the reference."""
+    sources = [declare(source_id) for source_id in index.streams]
+    result = enrich(log, index, simple_plan(sources=sources, event_rules=rules))
+    expected = []
+    for before, after in zip(log.traces, result.log.traces):
+        merged, derived = reference_insertion(before, index, rules)
+        assert list(after.events) == merged
+        expected += [(before.case_id, *d) for d in derived]
+    records = [r for r in result.audit if r.kind == "derived_event"]
+    assert [(r.case_id, r.binding_id, r.value, r.event_index) for r in records] == expected
+    for r in records:
+        event = result.log.trace(r.case_id).events[r.event_index]
+        assert (event.activity, event.timestamp) == (r.key, r.value)
+        assert event.get("derived_from") == r.binding_id
+    return result
+
+
+def flip_rule(rule_id, source_id="s", op="above", activity="alarm") -> EventDerivationRule:
+    return EventDerivationRule(
+        rule_id=rule_id,
+        source_id=source_id,
+        correlation=SPAN,
+        condition=Condition(op, 30.0),
+        activity=activity,
+    )
+
+
+def test_derived_event_at_an_original_timestamp_sorts_after_it():
+    log = mklog(tr("c1", [ev("start", at(0)), ev("alarm", at(20)), ev("end", at(40))]))
+    temps = [(0, 40.0), (10, 10.0), (20, 40.0), (30, 10.0), (40, 40.0)]
+    index = build_index([stream("s", [reading("s", at(t), v) for t, v in temps])])
+    result = enrich_against_reference(log, index, [flip_rule("r1")])
+    events = result.log.traces[0].events
+    assert [(e.activity, e.get("derived_from")) for e in events] == [
+        ("start", None),
+        ("alarm", "r1"),
+        ("alarm", None),
+        ("alarm", "r1"),
+        ("end", None),
+        ("alarm", "r1"),
+    ]
+    assert [r.event_index for r in result.audit] == [1, 3, 5]
+
+
+def test_two_rules_firing_at_one_timestamp_keep_rule_order():
+    log = mklog(tr("c1", [ev("start", at(0)), ev("end", at(20))]))
+    index = build_index([stream("s", [reading("s", at(t), 40.0) for t in (0, 10, 20)])])
+    rules = [flip_rule("r2", activity="hot"), flip_rule("r1")]
+    result = enrich_against_reference(log, index, rules)
+    events = result.log.traces[0].events
+    assert [e.activity for e in events] == ["start", "hot", "alarm", "end"]
+    assert [(r.binding_id, r.event_index) for r in result.audit] == [("r2", 1), ("r1", 2)]
+
+
+def test_re_enrichment_inserts_only_what_is_missing():
+    log = mklog(tr("c1", [ev("start", at(0)), ev("end", at(30))]))
+    temps = [(0, 40.0), (10, 10.0), (20, 40.0)]
+    index = build_index([stream("s", [reading("s", at(t), v) for t, v in temps])])
+    r1, r2 = flip_rule("r1"), flip_rule("r2", op="below", activity="cool")
+    once = enrich_against_reference(log, index, [r1])
+    twice = enrich_against_reference(once.log, index, [r1, r2])
+    assert [(r.binding_id, r.event_index) for r in twice.audit] == [("r2", 2)]
+    thrice = enrich_against_reference(twice.log, index, [r1, r2])
+    assert thrice.log == twice.log and thrice.additions == 0
+
+
+seconds = st.integers(0, 6)
+flip_readings = st.lists(
+    st.tuples(seconds, st.sampled_from("ab"), st.sampled_from([10.0, 40.0])), max_size=12
+)
+trace_events = st.lists(
+    st.tuples(
+        seconds,
+        st.sampled_from(["start", "alarm", "cool"]),
+        st.sampled_from([None, "r0", "r1"]),
+    ),
+    max_size=6,
+).map(lambda body: sorted(body, key=lambda e: e[0]))
+flip_rules = st.lists(
+    st.tuples(
+        st.sampled_from(["s", "u"]),
+        st.sampled_from(["above", "below"]),
+        st.sampled_from(["alarm", "cool"]),
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda specs: [flip_rule(f"r{i}", *spec) for i, spec in enumerate(specs)])
+
+
+@given(st.lists(trace_events, min_size=1, max_size=3), flip_readings, flip_readings, flip_rules)
+def test_derived_events_and_positions_match_a_brute_force_reference(
+    traces, s_rows, u_rows, rules
+):
+    def derived_from(rule_id):
+        return {"derived_from": rule_id} if rule_id else {}
+
+    log = mklog(
+        *(
+            tr(f"c{n}", [ev(a, at(t), **derived_from(r)) for t, a, r in body])
+            for n, body in enumerate(traces)
+        )
+    )
+    index = build_index(
+        [
+            stream(source_id, [reading(sensor, at(t), v) for t, sensor, v in rows])
+            for source_id, rows in (("s", s_rows), ("u", u_rows))
+        ]
+    )
+    once = enrich_against_reference(log, index, rules[:1])
+    enrich_against_reference(once.log, index, rules)

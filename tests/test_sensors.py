@@ -221,6 +221,31 @@ def test_load_jsonl_rejects_mistyped_values_with_row(tmp_path):
         load_stream(decl(fmt="jsonl"), tmp_path)
 
 
+@pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-Infinity", "1e999"])
+def test_load_csv_rejects_non_finite_decimals_with_row(tmp_path, raw):
+    (tmp_path / "s1.csv").write_text(
+        "timestamp,value\n"
+        "2024-03-01T12:00:00+00:00,40.0\n"
+        f"2024-03-01T12:01:00+00:00,{raw}\n"
+    )
+    with pytest.raises(SensorIngestError, match="not finite") as err:
+        load_stream(decl(), tmp_path)
+    assert err.value.row == 3
+    assert err.value.path == str(tmp_path / "s1.csv")
+
+
+@pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+def test_load_jsonl_rejects_non_finite_decimals_with_row(tmp_path, raw):
+    (tmp_path / "s1.jsonl").write_text(
+        '{"timestamp": "2024-03-01T12:00:00+00:00", "value": 40.0}\n'
+        f'{{"timestamp": "2024-03-01T12:01:00+00:00", "value": {raw}}}\n'
+    )
+    with pytest.raises(SensorIngestError) as err:
+        load_stream(decl(fmt="jsonl"), tmp_path)
+    assert err.value.row == 2
+    assert err.value.path == str(tmp_path / "s1.jsonl")
+
+
 def test_load_stream_is_deterministic(tmp_path):
     (tmp_path / "s1.csv").write_text(
         "timestamp,value\n"
