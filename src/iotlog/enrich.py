@@ -11,9 +11,10 @@ reordered.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from operator import attrgetter
 
 from .plan import (
     Aggregator,
@@ -137,6 +138,7 @@ def index_for_plan(plan: EnrichmentPlan, base_dir=None) -> StreamIndex:
 # --- correlation ------------------------------------------------------------
 
 _NEAREST = (CorrelationStrategy.NEAREST_BEFORE, CorrelationStrategy.NEAREST_WITHIN)
+_timestamp = attrgetter("timestamp")
 
 
 def _nearest(
@@ -208,10 +210,10 @@ def correlate_trace(
                 )
         else:
             return [], f"case {case_id!r}: subject attribute {name!r} missing; nothing correlated"
-        readings = [
-            r for r in index.subject_readings(source_id, subject) if first <= r.timestamp <= last
-        ]
-        return readings, None
+        readings = index.subject_readings(source_id, subject)
+        lo = bisect_left(readings, first, key=_timestamp)
+        hi = bisect_right(readings, last, lo=lo, key=_timestamp)
+        return readings[lo:hi], None
     return _nearest(correlation, index, source_id, last), None
 
 

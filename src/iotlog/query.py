@@ -14,7 +14,9 @@ attribute satisfies the comparison, `on` for the same restricted to events
 of one activity, and `case.` compares a trace attribute. `start_hour`
 checks the time of day of the trace's first event against a half-open
 interval that may wrap past midnight. A type-mismatched comparison excludes
-the trace and reports an error instead of failing the whole query.
+the trace and reports an error instead of failing the whole query; the
+event-scoped filters compare every candidate event, so one mismatching
+event excludes the trace even when another event matched.
 """
 
 from __future__ import annotations
@@ -74,6 +76,17 @@ def _compare(value: AttrValue, op: str, literal: Literal) -> bool:
     return value >= literal
 
 
+def _any_event_compares(events, key: str, op: str, literal: Literal) -> bool:
+    """Whether some event's value of key satisfies the comparison.
+
+    Every event carrying the key is compared, so a type mismatch on any of
+    them raises even when another already matched: the answer does not
+    depend on event order.
+    """
+    hits = [_compare(value, op, literal) for e in events if (value := e.get(key)) is not None]
+    return any(hits)
+
+
 @dataclass(frozen=True)
 class AttributeCompare:
     scope: str  # "case" | "event"
@@ -87,11 +100,7 @@ class AttributeCompare:
             if value is None:
                 return False
             return _compare(value, self.op, self.literal)
-        for event in trace.events:
-            value = event.get(self.key)
-            if value is not None and _compare(value, self.op, self.literal):
-                return True
-        return False
+        return _any_event_compares(trace.events, self.key, self.op, self.literal)
 
 
 @dataclass(frozen=True)
@@ -102,13 +111,8 @@ class OnActivityCompare:
     literal: Literal
 
     def matches(self, trace: Trace) -> bool:
-        for event in trace.events:
-            if event.activity != self.activity:
-                continue
-            value = event.get(self.key)
-            if value is not None and _compare(value, self.op, self.literal):
-                return True
-        return False
+        events = (event for event in trace.events if event.activity == self.activity)
+        return _any_event_compares(events, self.key, self.op, self.literal)
 
 
 @dataclass(frozen=True)

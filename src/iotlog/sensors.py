@@ -95,25 +95,25 @@ class SensorStream:
 class StreamIndex:
     """Immutable lookup structure over a set of streams.
 
-    Supports closed-interval time range queries per stream (bisect on the
-    sorted timestamps) and subject-key lookups, both returning readings in
-    stream order. Safe for concurrent readers.
+    Keeps each stream's sorted timestamps for closed-interval range queries
+    by bisection, and one list of readings per (source_id, subject_key), in
+    stream order and so sorted by timestamp, for subject-key lookups. Both
+    return readings in stream order. Safe for concurrent readers.
     """
 
     def __init__(self, streams: Iterable[SensorStream]):
         self._streams: dict[str, SensorStream] = {}
         self._timestamps: dict[str, list[datetime]] = {}
-        self._by_subject: dict[str, list[tuple[str, int]]] = {}
+        self._by_subject: dict[tuple[str, str], list[SensorReading]] = {}
         for stream in streams:
             if stream.source_id in self._streams:
                 raise ValueError(f"duplicate source_id {stream.source_id!r}")
             self._streams[stream.source_id] = stream
             self._timestamps[stream.source_id] = [r.timestamp for r in stream.readings]
-            for pos, reading in enumerate(stream.readings):
+            for reading in stream.readings:
                 if reading.subject_key is not None:
-                    self._by_subject.setdefault(reading.subject_key, []).append(
-                        (stream.source_id, pos)
-                    )
+                    key = (stream.source_id, reading.subject_key)
+                    self._by_subject.setdefault(key, []).append(reading)
 
     @property
     def streams(self) -> Mapping[str, SensorStream]:
@@ -143,12 +143,9 @@ class StreamIndex:
 
     def subject_readings(self, source_id: str, subject_key: str) -> list[SensorReading]:
         """Readings of one stream carrying the given subject key, in order."""
-        stream = self.stream(source_id)
-        return [
-            stream.readings[pos]
-            for sid, pos in self._by_subject.get(subject_key, ())
-            if sid == source_id
-        ]
+        if source_id not in self._streams:
+            raise UnknownSourceError(source_id)
+        return list(self._by_subject.get((source_id, subject_key), ()))
 
 
 def build_index(streams: Iterable[SensorStream]) -> StreamIndex:

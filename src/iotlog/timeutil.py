@@ -8,9 +8,22 @@ converted. The single textual format emitted anywhere is ISO-8601 with a
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timezone
 
 UTC = timezone.utc
+
+# The one timestamp grammar: YYYY-MM-DD, optionally followed by a T or a
+# space, HH:MM (00:00-23:59), optional :SS with 3 or 6 fractional digits, and
+# an optional Z or +HH:MM / -HH:MM offset. Python 3.10 and 3.11+ parse this
+# subset alike; 3.11+ fromisoformat alone would also take basic and week
+# dates, 20240101T101500, 2024-01-01T1015 or one-digit fractions.
+_TIMESTAMP_RE = re.compile(
+    r"\d{4}-\d{2}-\d{2}"
+    r"(?:[T ](?:[01]\d|2[0-3]):[0-5]\d(?::[0-5]\d(?:\.\d{3}(?:\d{3})?)?)?"
+    r"(?:[Zz]|[+-]\d{2}:\d{2})?)?",
+    re.ASCII,
+)
 
 
 def to_utc_ms(value: datetime) -> datetime:
@@ -25,10 +38,14 @@ def to_utc_ms(value: datetime) -> datetime:
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 timestamp, accepting a trailing Z and naive forms.
 
-    Raises ValueError on anything fromisoformat cannot handle after the Z
-    normalization (Python 3.10 rejects the Z suffix natively).
+    Raises ValueError on text outside the grammar of _TIMESTAMP_RE, and on
+    an impossible date within it (month 13, February 30).
     """
     cleaned = text.strip()
+    if _TIMESTAMP_RE.fullmatch(cleaned) is None:
+        raise ValueError(
+            f"timestamp {text!r} is not YYYY-MM-DD[THH:MM[:SS[.fff[fff]]][Z|+HH:MM]]"
+        )
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
     return to_utc_ms(datetime.fromisoformat(cleaned))

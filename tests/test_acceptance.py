@@ -430,11 +430,12 @@ def _naive_filter(flt, trace) -> bool:
     events = trace.events
     if isinstance(flt, OnActivityCompare):
         events = [e for e in events if e.activity == flt.activity]
+    hits = []
     for event in events:
         value = event.get(flt.key)
-        if value is not None and _naive_compare(value, flt.op, flt.literal):
-            return True
-    return False
+        if value is not None:
+            hits.append(_naive_compare(value, flt.op, flt.literal))
+    return any(hits)
 
 
 def _naive_run(log, query):

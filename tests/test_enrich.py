@@ -160,6 +160,42 @@ def test_subject_key_equals_matches_scan(rows, use_case_id):
     assert got == expected
 
 
+subject_rows = st.lists(
+    st.tuples(
+        st.integers(0, 8), st.sampled_from("ab"), st.sampled_from(["LPN-1", "LPN-2", None])
+    ),
+    max_size=20,
+)
+
+
+@given(
+    st.fixed_dictionaries({"s": subject_rows, "u": subject_rows, "v": subject_rows}),
+    st.sampled_from(["s", "u", "v"]),
+    st.sampled_from(["LPN-1", "LPN-2", "LPN-3"]),
+    st.lists(st.integers(0, 8), min_size=1, max_size=3).map(sorted),
+)
+def test_subject_key_equals_across_sources_matches_a_stream_scan(rows, source_id, subject, times):
+    # Only source "v" ever carries LPN-3, so asking another source for it must find nothing.
+    rows = {**rows, "v": [(sec, sensor, key or "LPN-3") for sec, sensor, key in rows["v"]]}
+    index = build_index(
+        [
+            stream(sid, [reading(sensor, at(sec), float(sec), key) for sec, sensor, key in body])
+            for sid, body in rows.items()
+        ]
+    )
+    events = [ev("a", at(sec)) for sec in times]
+    correlation = Correlation(CorrelationStrategy.SUBJECT_KEY_EQUALS, subject_attribute="plate")
+    got, warning = correlate_trace(correlation, index, source_id, events, {"plate": subject}, "c")
+    first, last = at(times[0]), at(times[-1])
+    expected = [
+        r
+        for r in index.streams[source_id].readings
+        if r.subject_key == subject and first <= r.timestamp <= last
+    ]
+    assert warning is None
+    assert got == expected
+
+
 def test_trace_scope_nearest_strategies_anchor_on_the_last_event():
     readings = [reading("s", at(sec), float(sec)) for sec in (10, 50, 90)]
     index = build_index([stream("s", readings)])

@@ -8,7 +8,7 @@ import operator
 from datetime import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from iotlog.query import (
@@ -164,6 +164,18 @@ def test_type_mismatch_excludes_the_trace_and_reports_it():
     assert "cannot compare" in result.errors[0].message
 
 
+@pytest.mark.parametrize(
+    "query", ['count where event.label = "red"', 'count where on "a": label = "red"']
+)
+@pytest.mark.parametrize("values", [("red", 0), (0, "red")])
+def test_event_scope_mismatch_excludes_the_trace_in_either_event_order(query, values):
+    first, second = values
+    log = mklog(tr("c1", [ev("a", at(0), label=first), ev("a", at(60), label=second)]))
+    result = run_query(log, query)
+    assert result.case_ids == ()
+    assert [e.case_id for e in result.errors] == ["c1"]
+
+
 def test_start_hour_half_open_window_with_wrap():
     log = mklog(
         hour_trace("night-start", 22, 0),
@@ -251,20 +263,15 @@ def naive_matches(trace, flt) -> bool:
     if isinstance(flt, AttributeCompare) and flt.scope == "case":
         value = trace.get(flt.key)
         return value is not None and naive_compare(value, flt.op, flt.literal)
-    if isinstance(flt, AttributeCompare):
+    if isinstance(flt, (AttributeCompare, OnActivityCompare)):
         hits = []
         for event in trace.events:
+            if isinstance(flt, OnActivityCompare) and event.activity != flt.activity:
+                continue
             value = event.get(flt.key)
             if value is not None:
                 hits.append(naive_compare(value, flt.op, flt.literal))
         return any(hits)
-    if isinstance(flt, OnActivityCompare):
-        for event in trace.events:
-            if event.activity == flt.activity:
-                value = event.get(flt.key)
-                if value is not None and naive_compare(value, flt.op, flt.literal):
-                    return True
-        return False
     assert isinstance(flt, StartTimeOfDayIn)
     if not trace.events:
         return False
@@ -358,6 +365,10 @@ queries = st.builds(
 
 
 @given(query_logs, queries)
+@example(
+    mklog(tr("case-0", [ev("A", at(0), label="red"), ev("A", at(60), label=0)])),
+    Query("count", (AttributeCompare("event", "label", "=", "red"),)),
+)
 def test_run_query_matches_naive_scan(log, query):
     expected_ids = []
     expected_errors = []

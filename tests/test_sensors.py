@@ -7,7 +7,7 @@ optimization, never a semantic change.
 
 from __future__ import annotations
 
-from datetime import timedelta, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given
@@ -22,6 +22,7 @@ from iotlog.sensors import (
     build_index,
     load_stream,
 )
+from iotlog.timeutil import parse_timestamp
 
 from conftest import T0, at, reading
 
@@ -141,6 +142,18 @@ def test_subject_readings_filters_by_stream_and_key():
     assert index.subject_readings("s2", "missing") == []
 
 
+def test_subject_readings_stay_within_the_asked_source():
+    s1 = SensorStream("s1", "rfid", (reading("a", at(0), 1.0, subject="LPN-1"),))
+    s2 = SensorStream("s2", "rfid", (reading("a", at(1), 2.0, subject="LPN-2"),))
+    index = build_index([s1, s2])
+    assert index.subject_readings("s2", "LPN-1") == []
+    with pytest.raises(UnknownSourceError):
+        index.subject_readings("nope", "LPN-1")
+    fresh = index.subject_readings("s1", "LPN-1")
+    fresh.clear()
+    assert [r.value for r in index.subject_readings("s1", "LPN-1")] == [1.0]
+
+
 # --- file loading -------------------------------------------------------------
 
 
@@ -244,6 +257,66 @@ def test_load_jsonl_rejects_non_finite_decimals_with_row(tmp_path, raw):
         load_stream(decl(fmt="jsonl"), tmp_path)
     assert err.value.row == 2
     assert err.value.path == str(tmp_path / "s1.jsonl")
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("2024-01-01", datetime(2024, 1, 1, tzinfo=timezone.utc)),
+        ("2024-01-01T10:15", datetime(2024, 1, 1, 10, 15, tzinfo=timezone.utc)),
+        ("2024-01-01 10:15:30", datetime(2024, 1, 1, 10, 15, 30, tzinfo=timezone.utc)),
+        ("2024-01-01T10:15:30.123", datetime(2024, 1, 1, 10, 15, 30, 123000, timezone.utc)),
+        ("2024-01-01T10:15:30.123999", datetime(2024, 1, 1, 10, 15, 30, 123000, timezone.utc)),
+        ("2024-01-01T10:15:30Z", datetime(2024, 1, 1, 10, 15, 30, tzinfo=timezone.utc)),
+        (" 2024-01-01T10:15:30z\n", datetime(2024, 1, 1, 10, 15, 30, tzinfo=timezone.utc)),
+        ("2024-01-01T10:15:30+02:00", datetime(2024, 1, 1, 8, 15, 30, tzinfo=timezone.utc)),
+        ("2024-01-01T23:15-01:00", datetime(2024, 1, 2, 0, 15, tzinfo=timezone.utc)),
+    ],
+)
+def test_parse_timestamp_accepts_the_pinned_grammar(text, expected):
+    assert parse_timestamp(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "20240101T101500",  # basic format
+        "2024-W01-1",  # week date
+        "2024-001",  # ordinal date
+        "2024-01-01T1015",  # basic time
+        "2024-01-01T10",  # hour only
+        "2024-01-01T10:15:00.5",  # one fractional digit
+        "2024-01-01T10:15:00.1234",  # four fractional digits
+        "2024-01-01T10:15:30+0200",  # basic offset
+        "2024-01-01T10:15:30+02",  # hour-only offset
+        "2024-01-01t10:15",  # lowercase separator
+        "2024-01-01X10:15",  # any other separator
+        "2024-01-01Z",  # offset without a time
+        "\u0662\u0660\u0662\u0664-01-01T10:15",  # non-ASCII digits
+        "2024-01-01T24:00",  # end-of-day hour
+        "2024-01-01T10:15:60",  # leap second
+        "2024-13-01T00:00",  # in the grammar, but no such month
+        "2024-02-30T00:00",  # in the grammar, but no such day
+        "",
+    ],
+)
+def test_parse_timestamp_rejects_everything_else(text):
+    with pytest.raises(ValueError):
+        parse_timestamp(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_timestamp_outside_the_grammar_is_a_located_ingest_error(tmp_path, fmt):
+    rows = [("2024-03-01T12:00:00+00:00", 1.0), ("20240301T120100", 2.0)]
+    if fmt == "csv":
+        body = "timestamp,value\n" + "".join(f"{t},{v}\n" for t, v in rows)
+    else:
+        body = "".join(f'{{"timestamp": "{t}", "value": {v}}}\n' for t, v in rows)
+    (tmp_path / f"s1.{fmt}").write_text(body)
+    with pytest.raises(SensorIngestError, match="20240301T120100") as err:
+        load_stream(decl(fmt=fmt), tmp_path)
+    assert err.value.row == (3 if fmt == "csv" else 2)
+    assert err.value.path == str(tmp_path / f"s1.{fmt}")
 
 
 def test_load_stream_is_deterministic(tmp_path):

@@ -188,6 +188,14 @@ def test_missing_mandatory_fields_are_rejected():
         parse_xes(doc)
 
 
+def test_a_date_outside_the_timestamp_grammar_is_a_parse_error():
+    doc = """<log><trace><string key="case_id" value="c"/>
+      <event><string key="activity" value="a"/>
+      <date key="timestamp" value="2024-W01-1"/></event></trace></log>"""
+    with pytest.raises(XesParseError, match="'timestamp'.*2024-W01-1"):
+        parse_xes(doc)
+
+
 def test_duplicate_case_id_rejected_at_parse_time():
     doc = """<log>
       <trace><string key="case_id" value="c"/></trace>
