@@ -14,7 +14,6 @@ from .enrich import (
     derive_events,
     derive_value,
     enrich,
-    index_for_plan,
 )
 from .plan import (
     Aggregator,

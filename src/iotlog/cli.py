@@ -180,14 +180,7 @@ def cmd_enrich(args) -> int:
 def cmd_query(args) -> int:
     log = _read_log(args.log)
     result = run_query(log, parse_query(args.query))
-    out: dict = {"query": args.query}
-    if result.mode == "cases":
-        out["case_ids"] = list(result.case_ids)
-    else:
-        out["count"] = result.count
-    if result.errors:
-        out["errors"] = [{"case_id": e.case_id, "message": e.message} for e in result.errors]
-    _emit(out, args.format)
+    _emit({"query": args.query, **result.to_dict()}, args.format)
     return EXIT_OK
 
 

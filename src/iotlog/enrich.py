@@ -28,7 +28,7 @@ from .plan import (
     TargetKind,
     validate_plan,
 )
-from .sensors import SensorReading, StreamIndex, build_index, load_stream
+from .sensors import SensorReading, StreamIndex
 from .xes import Attribute, AttrValue, Event, Log, Trace, Violation, validate_log
 
 
@@ -128,11 +128,6 @@ class EnrichmentResult:
     @property
     def additions(self) -> int:
         return len(self.audit)
-
-
-def index_for_plan(plan: EnrichmentPlan, base_dir=None) -> StreamIndex:
-    """Load every stream the plan declares and index it."""
-    return build_index(load_stream(decl, base_dir) for decl in plan.sources)
 
 
 # --- correlation ------------------------------------------------------------

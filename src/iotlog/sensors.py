@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .timeutil import parse_timestamp, to_utc_ms
+from .timeutil import parse_timestamp, to_utc, to_utc_ms
 
 if TYPE_CHECKING:
     from .plan import SourceDecl
@@ -131,8 +132,8 @@ class StreamIndex:
             raise ValueError("range_query requires t1 <= t2")
         stream = self.stream(source_id)
         timestamps = self._timestamps[source_id]
-        lo = bisect_left(timestamps, to_utc_ms(t1))
-        hi = bisect_right(timestamps, to_utc_ms(t2))
+        lo = bisect_left(timestamps, to_utc(t1))
+        hi = bisect_right(timestamps, to_utc(t2))
         return list(stream.readings[lo:hi])
 
     def latest_at_or_before(self, source_id: str, t: datetime) -> SensorReading | None:
@@ -155,7 +156,7 @@ def build_index(streams: Iterable[SensorStream]) -> StreamIndex:
 
 # --- file loading -----------------------------------------------------------
 
-_OPTIONAL_COLUMNS = ("sensor_id", "unit", "subject_key", "lon", "lat")
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _parse_value(raw, value_type: str, *, from_json: bool) -> ReadingValue:
@@ -179,7 +180,9 @@ def _parse_value(raw, value_type: str, *, from_json: bool) -> ReadingValue:
         raise ValueError(f"bad boolean literal {raw!r}")
     if from_json and not isinstance(raw, str):
         raise ValueError(f"expected a string, got {raw!r}")
-    return str(raw)
+    if bad := _NOT_XML_CHAR.search(raw):
+        raise ValueError(f"string value holds U+{ord(bad[0]):04X}, which XML 1.0 cannot carry")
+    return raw
 
 
 def _reading_from_fields(fields: dict, source: SourceDecl, *, from_json: bool) -> SensorReading:

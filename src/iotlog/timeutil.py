@@ -26,20 +26,22 @@ _TIMESTAMP_RE = re.compile(
 )
 
 
+def to_utc(value: datetime) -> datetime:
+    """Normalize a datetime to UTC, reading a naive one as UTC."""
+    return value.replace(tzinfo=UTC) if value.tzinfo is None else value.astimezone(UTC)
+
+
 def to_utc_ms(value: datetime) -> datetime:
     """Normalize a datetime to UTC with millisecond precision."""
-    if value.tzinfo is None:
-        value = value.replace(tzinfo=UTC)
-    else:
-        value = value.astimezone(UTC)
+    value = to_utc(value)
     return value.replace(microsecond=(value.microsecond // 1000) * 1000)
 
 
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 timestamp, accepting a trailing Z and naive forms.
 
-    Raises ValueError on text outside the grammar of _TIMESTAMP_RE, and on
-    an impossible date within it (month 13, February 30).
+    Raises ValueError on text outside the grammar of _TIMESTAMP_RE, on an
+    impossible date in it (month 13, February 30) or one outside UTC years 1-9999.
     """
     cleaned = text.strip()
     if _TIMESTAMP_RE.fullmatch(cleaned) is None:
@@ -48,7 +50,10 @@ def parse_timestamp(text: str) -> datetime:
         )
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
-    return to_utc_ms(datetime.fromisoformat(cleaned))
+    try:
+        return to_utc_ms(datetime.fromisoformat(cleaned))
+    except OverflowError:
+        raise ValueError(f"timestamp {text!r} is outside years 1-9999 in UTC") from None
 
 
 def format_timestamp(value: datetime) -> str:

@@ -3,20 +3,22 @@
 The model is intentionally small: a Log holds traces, a Trace holds events,
 and all three carry flat typed attributes (string, int, float, boolean,
 date). Instances are immutable after construction and safe to share across
-threads; `parse_xes` and `write_xes` are pure functions.
+threads; `parse_xes` (ElementTree) and `write_xes` are pure functions.
 
-Serialization is deterministic: the mandatory fields come first (case_id on
-traces, activity and timestamp on events), remaining attributes follow in
-lexicographic key order, timestamps are ISO-8601 UTC with millisecond
-precision, and floats use the shortest representation that round-trips
-binary64. Equal logs therefore serialize to identical bytes.
+`write_xes` emits one fixed layout in a single pass, without a tree, and is
+deterministic: mandatory fields first (case_id on traces, activity and
+timestamp on events), other attributes in lexicographic key order, ISO-8601
+UTC timestamps with millisecond precision, and floats in the shortest form
+that round-trips binary64. Equal logs serialize to identical bytes.
 """
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime
+from functools import partial
 
 from .timeutil import format_timestamp, parse_timestamp, to_utc_ms
 
@@ -298,7 +300,8 @@ def parse_xes(document: bytes | str) -> Log:
         root = ET.fromstring(document)
     except ET.ParseError as exc:
         line, column = exc.position
-        raise XesParseError(f"XML syntax error: {exc.msg}", line=line, column=column) from exc
+        message = exc.msg.rpartition(": line ")[0] or exc.msg
+        raise XesParseError(f"XML syntax error: {message}", line=line, column=column) from exc
     if _localname(root.tag) != "log":
         raise XesParseError(f"expected <log> root element, found <{_localname(root.tag)}>")
 
@@ -321,11 +324,8 @@ def parse_xes(document: bytes | str) -> Log:
             if node_tag != "event":
                 attrs.append(_parse_attribute(node, f"trace {trace_index}"))
                 continue
-            event_attrs = [
-                _parse_attribute(leaf, f"trace {trace_index}, event {len(events)}")
-                for leaf in node
-            ]
             where = f"trace {trace_index}, event {len(events)}"
+            event_attrs = [_parse_attribute(leaf, where) for leaf in node]
             activity = _take(event_attrs, _ACTIVITY_KEYS)
             timestamp = _take(event_attrs, _TIMESTAMP_KEYS)
             if activity is None or not isinstance(activity, str) or not activity:
@@ -349,43 +349,47 @@ def parse_xes(document: bytes | str) -> Log:
 
 # --- writing ---------------------------------------------------------------
 
+# write_xes emits one fixed layout: the declaration, then <log>, <trace> and
+# <event> indented two spaces per level, and one <tag key=".." value=".." />
+# line per attribute. Attribute text is escaped by _ESCAPES, and characters
+# UTF-8 cannot encode (lone surrogates) become character references.
+_DECLARATION = "<?xml version='1.0' encoding='UTF-8'?>\n"
+_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+            "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+_escape = partial(re.compile(f"[{''.join(_ESCAPES)}]").sub, lambda m: _ESCAPES[m[0]])
 
-def _value_text(value: AttrValue) -> tuple[str, str]:
-    """Map a typed value to its (element tag, text form)."""
+
+def _attribute(indent: str, key: str, value: AttrValue) -> str:
     if isinstance(value, bool):
-        return "boolean", "true" if value else "false"
-    if isinstance(value, int):
-        return "int", str(value)
-    if isinstance(value, float):
-        return "float", repr(value)
-    if isinstance(value, datetime):
-        return "date", format_timestamp(value)
-    return "string", value
-
-
-def _append_attribute(parent: ET.Element, attr: Attribute) -> None:
-    tag, text = _value_text(attr.value)
-    ET.SubElement(parent, tag, key=attr.key, value=text)
+        tag, text = "boolean", "true" if value else "false"
+    elif isinstance(value, int):
+        tag, text = "int", str(value)
+    elif isinstance(value, float):
+        tag, text = "float", repr(value)
+    elif isinstance(value, datetime):
+        tag, text = "date", format_timestamp(value)
+    else:
+        tag, text = "string", value
+    return f'{indent}<{tag} key="{_escape(key)}" value="{_escape(text)}" />'
 
 
 def write_xes(log: Log) -> bytes:
     """Serialize a valid Log to UTF-8 XES bytes, deterministically."""
-    root = ET.Element("log", {"xes.version": "1.0"})
-    for attr in log.metadata:
-        _append_attribute(root, attr)
+    if not log.metadata and not log.traces:
+        return (_DECLARATION + '<log xes.version="1.0" />').encode()
+    lines = [_DECLARATION + '<log xes.version="1.0">']
+    lines += [_attribute("  ", a.key, a.value) for a in log.metadata]
+    chunks = []  # encoded per trace, so only one trace's line strings are alive at a time
     for trace in log.traces:
-        trace_el = ET.SubElement(root, "trace")
-        ET.SubElement(trace_el, "string", key="case_id", value=trace.case_id)
-        for attr in trace.attributes:
-            _append_attribute(trace_el, attr)
+        chunks.append("\n".join(lines).encode("utf-8", "xmlcharrefreplace"))
+        lines = ["  <trace>", _attribute("    ", "case_id", trace.case_id)]
+        lines += [_attribute("    ", a.key, a.value) for a in trace.attributes]
         for event in trace.events:
-            event_el = ET.SubElement(trace_el, "event")
-            ET.SubElement(event_el, "string", key="activity", value=event.activity)
-            ET.SubElement(
-                event_el, "date", key="timestamp", value=format_timestamp(event.timestamp)
-            )
-            for attr in event.attributes:
-                _append_attribute(event_el, attr)
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    return ET.tostring(root, encoding="UTF-8", xml_declaration=True)
+            lines += ["    <event>", _attribute("      ", "activity", event.activity)]
+            lines.append(_attribute("      ", "timestamp", event.timestamp))
+            lines += [_attribute("      ", a.key, a.value) for a in event.attributes]
+            lines.append("    </event>")
+        lines.append("  </trace>")
+    lines.append("</log>")
+    chunks.append("\n".join(lines).encode("utf-8", "xmlcharrefreplace"))
+    return b"\n".join(chunks)

@@ -6,8 +6,10 @@ Exit-code contract: 0 success, 1 validation failure, 2 input error,
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -133,7 +135,58 @@ def test_gen_rejects_bad_rates(capsys, tmp_path):
     assert code == 2 and "fraud_rate" in err
 
 
+def test_gen_rejects_a_time_origin_after_year_9999_in_utc(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"time_origin": "9999-12-31T23:00:00-02:00"}))
+    code, _, err = run(capsys, "gen", "--config", str(config), "--out", str(tmp_path / "d"))
+    assert code == 2 and "bad time_origin" in err and "1-9999" in err
+
+
 # --- enrich -------------------------------------------------------------------
+
+
+def _enrich_with_truck_category(capsys, gen_dir, tmp_path, category: str):
+    """Enrich scenario1 after setting the first truck category reading to `category`."""
+    sensors = tmp_path / "sensors"
+    shutil.copytree(gen_dir, sensors)
+    path = sensors / "rfid_truck_category.csv"
+    with path.open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    rows[1][rows[0].index("value")] = category
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    out = tmp_path / "out"
+    code, _, err = run(
+        capsys,
+        "enrich",
+        "--log",
+        str(sensors / "log.xes"),
+        "--plan",
+        "scenario1",
+        "--sensors",
+        str(sensors),
+        "--out",
+        str(out),
+    )
+    return code, err, out
+
+
+@pytest.mark.parametrize("category", ["a\x01b", "\ufffe"])
+def test_enrich_rejects_a_string_reading_xml_cannot_carry(capsys, gen_dir, tmp_path, category):
+    code, err, out = _enrich_with_truck_category(capsys, gen_dir, tmp_path, category)
+    assert code == 2 and "rfid_truck_category.csv" in err and "(row 2)" in err
+    assert not (out / "enriched.xes").exists()
+
+
+def test_enrich_output_with_escaped_strings_is_queryable(capsys, gen_dir, tmp_path):
+    category = 'a&b <c> "d"\te\r\nf \U0001f69a'
+    code, _, out = _enrich_with_truck_category(capsys, gen_dir, tmp_path, category)
+    assert code == 0
+    enriched = out / "enriched.xes"
+    log = parse_xes(enriched.read_bytes())
+    assert category in {t.get("truck_category") for t in log.traces}
+    code, payload, _ = jrun(capsys, "query", "--log", str(enriched), "--query", "count")
+    assert code == 0 and payload["count"] == 12
 
 
 def test_enrich_pipeline_writes_all_artifacts(capsys, gen_dir, tmp_path):
@@ -266,7 +319,7 @@ def test_enrich_missing_sensor_file_is_an_input_error(capsys, gen_dir, tmp_path)
 def test_query_count_on_the_fixture(capsys):
     code, payload, _ = jrun(capsys, "query", "--log", ED, "--query", "count")
     assert code == 0
-    assert payload == {"query": "count", "count": 3}
+    assert payload == {"query": "count", "mode": "count", "count": 3}
 
 
 def test_query_cases_mode_lists_ids(capsys):

@@ -121,6 +121,17 @@ def test_nearest_within_matches_scan_with_tie_break(rows, anchor, window):
     assert got == ([expected] if expected is not None else [])
 
 
+def test_nearest_within_keeps_a_sub_millisecond_window_closed():
+    readings = [reading("a", at(0), 0.0), reading("b", at(0.004), 4.0)]
+    index = build_index([stream("s", readings)])
+    correlation = Correlation(CorrelationStrategy.NEAREST_WITHIN, window_seconds=0.0015)
+    # Both readings lie 2 ms from the anchor, outside its 1.5 ms window.
+    got, _ = correlate_event(correlation, index, "s", ev("a", at(0.002)), [], {}, "c")
+    assert got == []
+    got, _ = correlate_event(correlation, index, "s", ev("a", at(0.001)), [], {}, "c")
+    assert [r.value for r in got] == [0.0]
+
+
 @given(rows, st.integers(0, 400), st.integers(0, 400))
 def test_span_overlap_matches_scan(rows, a, b):
     lo, hi = min(a, b), max(a, b)

@@ -7,10 +7,11 @@ optimization, never a semantic change.
 
 from __future__ import annotations
 
+import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from iotlog.plan import IoTContextCategory, SourceDecl
@@ -89,12 +90,24 @@ stream_of = st.lists(
 )
 
 
-@given(stream_of, offsets, offsets)
+# Bounds up to a millisecond either side of a whole second, so they fall
+# between the readings' millisecond-aligned timestamps.
+bounds = st.tuples(offsets, st.integers(min_value=-999, max_value=999)).map(
+    lambda p: at(p[0]) + timedelta(microseconds=p[1])
+)
+
+
+@given(stream_of, bounds, bounds)
+@example(
+    SensorStream("s1", "x", (reading("a", at(5), 5.0),)),
+    at(5) + timedelta(microseconds=500),
+    at(6),
+)
 def test_range_query_equals_filter_by_scan(stream, a, b):
     t1, t2 = min(a, b), max(a, b)
     index = build_index([stream])
-    got = index.range_query("s1", at(t1), at(t2))
-    expected = [r for r in stream.readings if at(t1) <= r.timestamp <= at(t2)]
+    got = index.range_query("s1", t1, t2)
+    expected = [r for r in stream.readings if t1 <= r.timestamp <= t2]
     assert got == expected
 
 
@@ -297,6 +310,8 @@ def test_parse_timestamp_accepts_the_pinned_grammar(text, expected):
         "2024-01-01T10:15:60",  # leap second
         "2024-13-01T00:00",  # in the grammar, but no such month
         "2024-02-30T00:00",  # in the grammar, but no such day
+        "0001-01-01T00:30:00+01:00",  # in the grammar, but before year 1 in UTC
+        "9999-12-31T23:00:00-02:00",  # in the grammar, but after year 9999 in UTC
         "",
     ],
 )
@@ -317,6 +332,45 @@ def test_a_timestamp_outside_the_grammar_is_a_located_ingest_error(tmp_path, fmt
         load_stream(decl(fmt=fmt), tmp_path)
     assert err.value.row == (3 if fmt == "csv" else 2)
     assert err.value.path == str(tmp_path / f"s1.{fmt}")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_timestamp_that_leaves_years_1_to_9999_in_utc_is_a_located_ingest_error(
+    tmp_path, fmt
+):
+    rows = [("2024-03-01T12:00:00+00:00", 1.0), ("0001-01-01T00:30:00+01:00", 2.0)]
+    if fmt == "csv":
+        body = "timestamp,value\n" + "".join(f"{t},{v}\n" for t, v in rows)
+    else:
+        body = "".join(f'{{"timestamp": "{t}", "value": {v}}}\n' for t, v in rows)
+    (tmp_path / f"s1.{fmt}").write_text(body)
+    with pytest.raises(SensorIngestError, match="outside years 1-9999") as err:
+        load_stream(decl(fmt=fmt), tmp_path)
+    assert err.value.row == (3 if fmt == "csv" else 2)
+    assert err.value.path == str(tmp_path / f"s1.{fmt}")
+
+
+# Characters XML 1.0 cannot carry: both ends of every excluded range.
+NOT_XML = ["\x00", "\x08", "\x0b", "\x0c", "\x0e", "\x1f"]
+NOT_XML += ["\ud800", "\udfff", "\ufffe", "\uffff"]
+
+
+@pytest.mark.parametrize("char", NOT_XML)
+def test_a_string_value_xml_cannot_carry_is_a_located_ingest_error(tmp_path, char):
+    good = {"timestamp": "2024-03-01T12:00:00+00:00", "value": "ok"}
+    bad = {**good, "value": f"x{char}y"}
+    (tmp_path / "s1.jsonl").write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n")
+    with pytest.raises(SensorIngestError, match=f"U\\+{ord(char):04X}.*XML 1.0") as err:
+        load_stream(decl(fmt="jsonl", value_type="string"), tmp_path)
+    assert (err.value.path, err.value.row) == (str(tmp_path / "s1.jsonl"), 2)
+
+
+def test_string_values_xml_can_carry_are_accepted(tmp_path):
+    allowed = "\t\n\r &<>\"' \x7f\x85\ud7ff\ue000\ufffd\U00010000\U0010ffff"
+    record = {"timestamp": "2024-03-01T12:00:00+00:00", "value": allowed}
+    (tmp_path / "s1.jsonl").write_text(json.dumps(record) + "\n")
+    stream = load_stream(decl(fmt="jsonl", value_type="string"), tmp_path)
+    assert [r.value for r in stream.readings] == [allowed]
 
 
 def test_load_stream_is_deterministic(tmp_path):

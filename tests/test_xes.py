@@ -2,17 +2,21 @@
 
 The serialization contract is the backbone of everything downstream, so this
 module leans on property tests: random logs must survive a write/parse
-roundtrip unchanged, and writing must be byte-deterministic.
+roundtrip unchanged, writing must be byte-deterministic, and the direct
+writer must match the ElementTree writer it replaced byte for byte.
 """
 
 from __future__ import annotations
 
+import math
+import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from iotlog.timeutil import format_timestamp
 from iotlog.xes import (
     DUPLICATE_ATTRIBUTE_KEY,
     DUPLICATE_CASE_ID,
@@ -172,7 +176,8 @@ def test_unknown_attribute_tag_is_rejected():
 def test_malformed_xml_reports_position():
     with pytest.raises(XesParseError) as err:
         parse_xes("<log><trace></log>")
-    assert err.value.line is not None
+    assert (err.value.line, err.value.column) == (1, 14)
+    assert str(err.value) == "XML syntax error: mismatched tag (line 1, column 14)"
 
 
 def test_missing_mandatory_fields_are_rejected():
@@ -196,6 +201,17 @@ def test_a_date_outside_the_timestamp_grammar_is_a_parse_error():
         parse_xes(doc)
 
 
+@pytest.mark.parametrize("stamp", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:00:00-02:00"])
+def test_a_date_that_leaves_years_1_to_9999_in_utc_is_a_located_parse_error(stamp):
+    doc = f"""<log><trace><string key="case_id" value="c"/>
+      <event><string key="activity" value="a"/>
+      <date key="timestamp" value="2024-01-01T00:00:00Z"/></event>
+      <event><string key="activity" value="b"/>
+      <date key="timestamp" value="{stamp}"/></event></trace></log>"""
+    with pytest.raises(XesParseError, match="trace 0, event 1: attribute 'timestamp'.*1-9999"):
+        parse_xes(doc)
+
+
 def test_duplicate_case_id_rejected_at_parse_time():
     doc = """<log>
       <trace><string key="case_id" value="c"/></trace>
@@ -209,6 +225,97 @@ def test_int_overflow_is_rejected():
     doc = f"""<log><int key="big" value="{2**63}"/></log>"""
     with pytest.raises(XesParseError, match="64-bit"):
         parse_xes(doc)
+
+
+# --- the writer against the ElementTree writer it replaced ---------------------
+
+
+def _reference_write_xes(log: Log) -> bytes:
+    """The former ElementTree-based write_xes, kept as the byte reference."""
+
+    def append(parent, key, value):
+        if isinstance(value, bool):
+            tag, text = "boolean", "true" if value else "false"
+        elif isinstance(value, int):
+            tag, text = "int", str(value)
+        elif isinstance(value, float):
+            tag, text = "float", repr(value)
+        elif isinstance(value, datetime):
+            tag, text = "date", format_timestamp(value)
+        else:
+            tag, text = "string", value
+        ET.SubElement(parent, tag, key=key, value=text)
+
+    root = ET.Element("log", {"xes.version": "1.0"})
+    for attr in log.metadata:
+        append(root, attr.key, attr.value)
+    for trace in log.traces:
+        trace_el = ET.SubElement(root, "trace")
+        append(trace_el, "case_id", trace.case_id)
+        for attr in trace.attributes:
+            append(trace_el, attr.key, attr.value)
+        for event in trace.events:
+            event_el = ET.SubElement(trace_el, "event")
+            append(event_el, "activity", event.activity)
+            append(event_el, "timestamp", event.timestamp)
+            for attr in event.attributes:
+                append(event_el, attr.key, attr.value)
+    tree = ET.ElementTree(root)
+    ET.indent(tree, space="  ")
+    return ET.tostring(root, encoding="UTF-8", xml_declaration=True)
+
+
+# Every Unicode category, Cc (control) and Cs (lone surrogates) included,
+# plus a dense mix of the characters the escape table handles.
+any_texts = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=12),
+    st.text(st.sampled_from("&<>\"'\r\n\t\x00\x0b\x85\ud800\udfff\ufffe\U0001f600 a"), max_size=8),
+)
+nonempty_texts = any_texts.filter(bool)
+any_values = st.one_of(
+    any_texts,
+    st.booleans(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.sampled_from([-(2**63), 2**63 - 1]),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    stamps,
+)
+any_attrs = st.lists(st.builds(Attribute, nonempty_texts, any_values), max_size=4).map(tuple)
+any_logs = st.builds(
+    Log,
+    traces=st.lists(
+        st.builds(
+            Trace,
+            case_id=nonempty_texts,
+            attributes=any_attrs,
+            events=st.lists(
+                st.builds(Event, activity=nonempty_texts, timestamp=stamps, attributes=any_attrs),
+                max_size=3,
+            ).map(tuple),
+        ),
+        max_size=3,
+    ).map(tuple),
+    metadata=any_attrs,
+)
+
+
+@given(any_logs)
+@example(Log())
+@example(Log(metadata=(Attribute("source", "a&b"),)))
+@example(Log(traces=(Trace("no events"),)))
+def test_write_matches_the_elementtree_writer_byte_for_byte(log):
+    assert write_xes(log) == _reference_write_xes(log)
+
+
+def test_write_pins_the_empty_log_and_the_escape_table():
+    declaration = b"<?xml version='1.0' encoding='UTF-8'?>\n"
+    assert write_xes(Log()) == declaration + b'<log xes.version="1.0" />'
+    text = write_xes(Log(metadata=(Attribute('k&<>"', "\r\n\t'\ud800"),))).decode()
+    assert text.splitlines()[2:] == [
+        '  <string key="k&amp;&lt;&gt;&quot;" value="&#13;&#10;&#09;\'&#55296;" />',
+        "</log>",
+    ]
 
 
 # --- validate_log -----------------------------------------------------------
