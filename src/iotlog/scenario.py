@@ -104,7 +104,17 @@ class GenConfig:
             rate = getattr(self, name)
             if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate <= 1:
                 raise GenConfigError(f"{name} must be a number in [0, 1]")
-        object.__setattr__(self, "time_origin", to_utc_ms(self.time_origin))
+        # Case i starts 2 * (i - 1) days after the origin and ends within 33 hours,
+        # so every generated timestamp lies before origin + 2 * n_cases days.
+        try:
+            origin = to_utc_ms(self.time_origin)
+            origin + timedelta(days=2 * self.n_cases)
+        except OverflowError:
+            raise GenConfigError(
+                f"time_origin plus 2 days per case for {self.n_cases} cases "
+                "is outside years 1-9999 in UTC"
+            ) from None
+        object.__setattr__(self, "time_origin", origin)
 
 
 def config_from_dict(data: dict) -> GenConfig:

@@ -15,6 +15,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -45,7 +46,7 @@ class UnknownSourceError(LookupError):
         self.source_id = source_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorReading:
     """One timestamped measurement from one sensor.
 
@@ -64,8 +65,10 @@ class SensorReading:
     def __post_init__(self) -> None:
         if not self.sensor_id:
             raise ValueError("sensor_id must be non-empty")
-        object.__setattr__(self, "timestamp", to_utc_ms(self.timestamp))
-        if isinstance(self.value, bool) or isinstance(self.value, (str, float)):
+        timestamp = to_utc_ms(self.timestamp)
+        if timestamp is not self.timestamp:
+            object.__setattr__(self, "timestamp", timestamp)
+        if isinstance(self.value, (str, float, bool)):
             pass
         elif isinstance(self.value, int):
             object.__setattr__(self, "value", float(self.value))
@@ -75,7 +78,8 @@ class SensorReading:
             lon, lat = self.location
             if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
                 raise ValueError(f"location out of range: {self.location}")
-            object.__setattr__(self, "location", (float(lon), float(lat)))
+            if type(self.location) is not tuple or type(lon) is not float or type(lat) is not float:
+                object.__setattr__(self, "location", (float(lon), float(lat)))
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class SensorStream:
     def __post_init__(self) -> None:
         if not self.source_id:
             raise ValueError("source_id must be non-empty")
-        ordered = tuple(sorted(self.readings, key=lambda r: (r.timestamp, r.sensor_id)))
+        ordered = tuple(sorted(self.readings, key=attrgetter("timestamp", "sensor_id")))
         object.__setattr__(self, "readings", ordered)
 
 
@@ -159,9 +163,13 @@ def build_index(streams: Iterable[SensorStream]) -> StreamIndex:
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
+def _is_json_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 def _parse_value(raw, value_type: str, *, from_json: bool) -> ReadingValue:
     if value_type == "decimal":
-        if from_json and (isinstance(raw, bool) or not isinstance(raw, (int, float))):
+        if from_json and not _is_json_number(raw):
             raise ValueError(f"expected a number, got {raw!r}")
         value = float(raw)
         if not math.isfinite(value):
@@ -185,35 +193,41 @@ def _parse_value(raw, value_type: str, *, from_json: bool) -> ReadingValue:
     return raw
 
 
-def _reading_from_fields(fields: dict, source: SourceDecl, *, from_json: bool) -> SensorReading:
-    timestamp_raw = fields.get("timestamp")
-    value_raw = fields.get("value")
-    if timestamp_raw is None or timestamp_raw == "":
+# The fields of a reading, in the order _reading_from_fields takes them.
+_FIELDS = ("timestamp", "value", "sensor_id", "unit", "subject_key", "lon", "lat")
+_ABSENT = (None, "")
+
+
+def _coordinate(name: str, raw, *, from_json: bool) -> float:
+    if from_json and not _is_json_number(raw):
+        raise ValueError(f"{name} must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _reading_from_fields(fields, source: SourceDecl, *, from_json: bool) -> SensorReading:
+    """One reading from its raw fields in _FIELDS order; None or "" is an absent field."""
+    timestamp_raw, value_raw, sensor_id, unit, subject_key, lon, lat = fields
+    if timestamp_raw in _ABSENT:
         raise ValueError("missing timestamp")
-    if value_raw is None or value_raw == "":
+    if value_raw in _ABSENT:
         raise ValueError("missing value")
     timestamp = parse_timestamp(str(timestamp_raw))
     value = _parse_value(value_raw, source.value_type, from_json=from_json)
-
-    def opt(name: str) -> str | None:
-        raw = fields.get(name)
-        if raw is None or raw == "":
-            return None
-        return str(raw)
-
-    lon, lat = fields.get("lon"), fields.get("lat")
     location = None
-    if lon not in (None, "") or lat not in (None, ""):
-        if lon in (None, "") or lat in (None, ""):
+    if lon not in _ABSENT or lat not in _ABSENT:
+        if lon in _ABSENT or lat in _ABSENT:
             raise ValueError("lon and lat must be given together")
-        location = (float(lon), float(lat))
-    return SensorReading(
-        sensor_id=opt("sensor_id") or source.source_id,
-        timestamp=timestamp,
-        value=value,
-        unit=opt("unit"),
-        subject_key=opt("subject_key"),
-        location=location,
+        location = (
+            _coordinate("lon", lon, from_json=from_json),
+            _coordinate("lat", lat, from_json=from_json),
+        )
+    return SensorReading(  # positional, in field order: binding keywords costs a share of a row
+        source.source_id if sensor_id in _ABSENT else str(sensor_id),
+        timestamp,
+        value,
+        None if unit in _ABSENT else str(unit),
+        None if subject_key in _ABSENT else str(subject_key),
+        location,
     )
 
 
@@ -238,14 +252,24 @@ def load_stream(source: SourceDecl, base_dir: str | Path | None = None) -> Senso
 def _load_csv(path: Path, source: SourceDecl) -> list[SensorReading]:
     readings = []
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        column = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
         for required in ("timestamp", "value"):
-            if required not in header:
+            if required not in column:
                 raise SensorIngestError(f"header is missing column {required!r}", path=str(path))
-        for record in reader:
+        width = len(header)
+        # An absent optional column reads index `width`: the None appended to every row.
+        pick = itemgetter(*(column.get(name, width) for name in _FIELDS))
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue  # a blank line
+                # Extra fields are ignored; fields past the row's end are absent.
+                row = row[:width] + [None] * (width - len(row))
+            row.append(None)
             try:
-                readings.append(_reading_from_fields(record, source, from_json=False))
+                readings.append(_reading_from_fields(pick(row), source, from_json=False))
             except ValueError as exc:
                 raise SensorIngestError(str(exc), path=str(path), row=reader.line_num) from exc
     return readings
@@ -261,7 +285,8 @@ def _load_jsonl(path: Path, source: SourceDecl) -> list[SensorReading]:
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError("each line must be a JSON object")
-                readings.append(_reading_from_fields(record, source, from_json=True))
+                fields = [record.get(name) for name in _FIELDS]
+                readings.append(_reading_from_fields(fields, source, from_json=True))
             except (ValueError, TypeError, OverflowError) as exc:
                 raise SensorIngestError(str(exc), path=str(path), row=row_number) from exc
     return readings

@@ -2,8 +2,10 @@
 
 Every timestamp handled here is a timezone-aware UTC datetime truncated to
 millisecond precision. Naive inputs are interpreted as UTC; zoned inputs are
-converted. The single textual format emitted anywhere is ISO-8601 with a
-+00:00 offset and exactly three fractional digits.
+converted. A timestamp is normalised once, when it is parsed or built; the
+later normalisations on construction and output pass it through. The single
+textual format emitted anywhere is ISO-8601 with a +00:00 offset and exactly
+three fractional digits.
 """
 
 from __future__ import annotations
@@ -32,7 +34,13 @@ def to_utc(value: datetime) -> datetime:
 
 
 def to_utc_ms(value: datetime) -> datetime:
-    """Normalize a datetime to UTC with millisecond precision."""
+    """Normalize a datetime to UTC with millisecond precision.
+
+    An already normal value (the timezone.utc singleton, whole milliseconds)
+    is returned itself, so normalising a parsed timestamp again is one check.
+    """
+    if value.tzinfo is UTC and value.microsecond % 1000 == 0:
+        return value
     value = to_utc(value)
     return value.replace(microsecond=(value.microsecond // 1000) * 1000)
 

@@ -142,6 +142,14 @@ def test_gen_rejects_a_time_origin_after_year_9999_in_utc(capsys, tmp_path):
     assert code == 2 and "bad time_origin" in err and "1-9999" in err
 
 
+def test_gen_rejects_a_time_origin_whose_cases_run_past_year_9999(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"time_origin": "9999-12-30T00:00:00Z", "n_cases": 3}))
+    code, _, err = run(capsys, "gen", "--config", str(config), "--out", str(tmp_path / "d"))
+    assert code == 2 and "2 days per case for 3 cases" in err and "1-9999" in err
+    assert "internal error" not in err
+
+
 # --- enrich -------------------------------------------------------------------
 
 

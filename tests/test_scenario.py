@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -65,6 +65,33 @@ def test_config_from_dict():
         config_from_dict({"time_origin": 12345})
     with pytest.raises(GenConfigError, match="bad time_origin"):
         config_from_dict({"time_origin": "soon"})
+
+
+@pytest.mark.parametrize("n_cases", [1, 2, 3])
+def test_the_latest_time_origin_a_config_accepts_still_generates(n_cases):
+    last = datetime(9999, 12, 31, 23, 59, 59, 999000, tzinfo=timezone.utc)
+    latest = last - timedelta(days=2 * n_cases)
+    config = GenConfig(
+        n_cases=n_cases, night_arrival_fraction=1.0, interruption_rate=0.0, time_origin=latest
+    )
+    log, _, _ = generate(config)
+    assert max(t.span()[1] for t in log.traces) <= last
+    with pytest.raises(GenConfigError, match="outside years 1-9999"):
+        GenConfig(n_cases=n_cases, time_origin=latest + timedelta(milliseconds=1))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"time_origin": datetime(9999, 12, 30, tzinfo=timezone.utc), "n_cases": 3},
+        {"n_cases": 10**12},
+        # converting this origin to UTC leaves year 9999 before any case is added
+        {"time_origin": datetime(9999, 12, 31, 23, tzinfo=timezone(timedelta(hours=-2)))},
+    ],
+)
+def test_a_generated_span_outside_years_1_to_9999_is_a_config_error(config):
+    with pytest.raises(GenConfigError, match="outside years 1-9999 in UTC"):
+        GenConfig(**config)
 
 
 def test_is_night_window_is_half_open():

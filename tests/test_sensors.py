@@ -7,8 +7,11 @@ optimization, never a semantic change.
 
 from __future__ import annotations
 
+import csv
 import json
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -20,6 +23,7 @@ from iotlog.sensors import (
     SensorReading,
     SensorStream,
     UnknownSourceError,
+    _parse_value,
     build_index,
     load_stream,
 )
@@ -52,6 +56,22 @@ def test_reading_timestamps_truncate_to_milliseconds():
     r = SensorReading("a", T0 + timedelta(microseconds=1999), 1.0)
     assert r.timestamp.microsecond == 1000
     assert r.timestamp.tzinfo == timezone.utc
+
+
+def test_a_normal_reading_keeps_its_timestamp_and_location_objects():
+    when, where = T0 + timedelta(milliseconds=5), (4.3, 51.9)
+    r = SensorReading("a", when, 1.0, location=where)
+    assert r.timestamp is when and r.location is where
+
+
+@pytest.mark.parametrize("location", [[4, 51], [4.0, 51.0], (4, 51.0), (True, 51.0)])
+def test_a_reading_normalises_what_is_not_normal_yet(location):
+    zoned = datetime(2024, 3, 1, 14, tzinfo=timezone(timedelta(hours=2)))
+    r = SensorReading("a", zoned, 1, location=location)
+    assert r.timestamp == T0 and r.timestamp.tzinfo is timezone.utc
+    assert r.value == 1.0 and type(r.value) is float
+    assert r.location == (float(location[0]), 51.0) and type(r.location) is tuple
+    assert [type(c) for c in r.location] == [float, float]
 
 
 def test_location_is_range_checked():
@@ -247,6 +267,26 @@ def test_load_jsonl_rejects_mistyped_values_with_row(tmp_path):
         load_stream(decl(fmt="jsonl"), tmp_path)
 
 
+@pytest.mark.parametrize(
+    "lon,lat,bad",
+    [(True, False, "lon"), ("4.3", 51.9, "lon"), (4.3, "51.9", "lat"), (4.3, True, "lat")],
+)
+def test_load_jsonl_rejects_coordinates_that_are_not_json_numbers(tmp_path, lon, lat, bad):
+    good = {"timestamp": "2024-01-01T00:00:00Z", "value": 1.0}
+    rows = [good, {**good, "lon": lon, "lat": lat}]
+    (tmp_path / "s1.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(SensorIngestError, match=f"{bad} must be a number") as err:
+        load_stream(decl(fmt="jsonl"), tmp_path)
+    assert (err.value.path, err.value.row) == (str(tmp_path / "s1.jsonl"), 2)
+
+
+def test_load_jsonl_takes_integer_coordinates_as_floats(tmp_path):
+    record = {"timestamp": "2024-01-01T00:00:00Z", "value": 1.0, "lon": 4, "lat": -51}
+    (tmp_path / "s1.jsonl").write_text(json.dumps(record) + "\n")
+    (only,) = load_stream(decl(fmt="jsonl"), tmp_path).readings
+    assert only.location == (4.0, -51.0) and [type(c) for c in only.location] == [float, float]
+
+
 @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-Infinity", "1e999"])
 def test_load_csv_rejects_non_finite_decimals_with_row(tmp_path, raw):
     (tmp_path / "s1.csv").write_text(
@@ -405,3 +445,157 @@ def test_generated_streams_roundtrip_through_csv(scenario_bundle):
             decl(stream.source_id, value_type=_value_type_of(stream)), out_dir
         )
         assert loaded.readings == stream.readings
+
+
+# --- the CSV loader against the former DictReader loader -----------------------
+
+
+def reference_reading_from_fields(fields: dict, source: SourceDecl) -> SensorReading:
+    """The former per-row CSV parse, kept as the reference for load_stream."""
+    timestamp_raw = fields.get("timestamp")
+    value_raw = fields.get("value")
+    if timestamp_raw is None or timestamp_raw == "":
+        raise ValueError("missing timestamp")
+    if value_raw is None or value_raw == "":
+        raise ValueError("missing value")
+    timestamp = parse_timestamp(str(timestamp_raw))
+    value = _parse_value(value_raw, source.value_type, from_json=False)
+
+    def opt(name: str) -> str | None:
+        raw = fields.get(name)
+        if raw is None or raw == "":
+            return None
+        return str(raw)
+
+    lon, lat = fields.get("lon"), fields.get("lat")
+    location = None
+    if lon not in (None, "") or lat not in (None, ""):
+        if lon in (None, "") or lat in (None, ""):
+            raise ValueError("lon and lat must be given together")
+        location = (float(lon), float(lat))
+    return SensorReading(
+        sensor_id=opt("sensor_id") or source.source_id,
+        timestamp=timestamp,
+        value=value,
+        unit=opt("unit"),
+        subject_key=opt("subject_key"),
+        location=location,
+    )
+
+
+def reference_load_csv(path: Path, source: SourceDecl) -> SensorStream:
+    """The former csv.DictReader loader, kept as the reference for load_stream."""
+    readings = []
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames or []
+        for required in ("timestamp", "value"):
+            if required not in header:
+                raise SensorIngestError(f"header is missing column {required!r}", path=str(path))
+        for record in reader:
+            try:
+                readings.append(reference_reading_from_fields(record, source))
+            except ValueError as exc:
+                raise SensorIngestError(str(exc), path=str(path), row=reader.line_num) from exc
+    return SensorStream(source.source_id, source.sensor_type, tuple(readings))
+
+
+# Any cell may hold any of CELLS; a column mostly draws from its own good cells.
+CELLS = [
+    "", "  ", "2024-03-01T12:00:00+00:00", "20240301T1200", "1.5", "nan", "true", "yes",
+    "4.3", "200", "LPN-1", "x\ny", "a\r\nb", "p,q", 'say "hi"', "\x01",
+]
+GOOD = {
+    "timestamp": ["2024-03-01T12:00:00Z", "2024-03-01 12:00", "2024-03-01T10:00:00.123456-02:00"],
+    "lon": ["4.3", "-71"],
+    "lat": ["51.9", "0"],
+}
+GOOD_VALUES = {"decimal": ["1.5", "-3"], "boolean": ["true", "0"], "string": ["LPN-1", "x\ny"]}
+TEXT = ["", "probe-7", "x\ny", "p,q", 'say "hi"']  # embedded line breaks move line_num
+
+# Both required columns in any position, among optional ones; any column, the
+# required ones included, may repeat, and lon may come without lat.
+GROUPS = [["sensor_id"], ["unit"], ["subject_key"], ["note"], ["lon", "lat"]] * 3
+GROUPS += [["timestamp"], ["value"], ["lon"]]
+headers = st.lists(st.sampled_from(GROUPS), max_size=4).flatmap(
+    lambda extra: st.permutations(["timestamp", "value", *(c for group in extra for c in group)])
+)
+
+
+def _cell(name: str, value_type: str):
+    good = GOOD_VALUES[value_type] if name == "value" else GOOD.get(name, TEXT)
+    return st.tuples(st.sampled_from(good * 20 + CELLS), st.booleans())  # (text, quoted)
+
+
+def _rows(header: list[str], value_type: str):
+    matching = st.tuples(*(_cell(name, value_type) for name in header)).map(list)
+    # Half the rows fit the header; the rest are cut short (down to an empty,
+    # blank-line row) or run past it.
+    short = st.tuples(matching, st.integers(0, len(header) - 1)).map(lambda t: t[0][: t[1]])
+    long = st.tuples(matching, st.lists(_cell("note", value_type), min_size=1, max_size=2)).map(
+        lambda t: t[0] + t[1]
+    )
+    return st.lists(st.one_of(matching, matching, short, long), max_size=6)
+
+
+def _csv_line(fields: list[tuple[str, bool]]) -> str:
+    """Fields joined by commas, each quoted when asked or when it must be."""
+    return ",".join(
+        f'"{text.replace(chr(34), chr(34) * 2)}"' if quoted or any(c in text for c in ',"\r\n')
+        else text
+        for text, quoted in fields
+    )
+
+
+def structured_csv(value_type: str):
+    return st.builds(
+        lambda header_rows, quote_header, newline, last: newline.join(
+            [_csv_line([(name, quote_header) for name in header_rows[0]])]
+            + [_csv_line(row) for row in header_rows[1]]
+        ) + (newline if last else ""),
+        headers.flatmap(lambda header: st.tuples(st.just(header), _rows(header, value_type))),
+        st.booleans(),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )
+
+
+# Free text after a good header: stray quotes, lone CRs, unterminated fields.
+raw_csv = st.text(alphabet='0123456789-:T .,"\n\rZaelu', max_size=80).map(
+    lambda body: "timestamp,value,lon,lat,sensor_id\n" + body
+)
+
+
+def _outcome(load):
+    try:
+        readings = load().readings
+    except (SensorIngestError, csv.Error) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return [repr(r) for r in readings], readings
+
+
+value_types_and_csv = st.sampled_from(["decimal", "string", "boolean"]).flatmap(
+    lambda value_type: st.tuples(
+        st.just(value_type), st.one_of(structured_csv(value_type), raw_csv)
+    )
+)
+
+
+@given(value_types_and_csv)
+@example(("decimal", "value,note\n1,2\n"))  # no timestamp column
+@example(("decimal", "\ntimestamp,value\n"))  # a blank first line is the header
+# A short row leaves the later of two `value` columns absent.
+@example(("decimal", "timestamp,value,value\n2024-03-01T12:00Z,1\n"))
+# Extra fields, and a header without the optional columns.
+@example(("string", "timestamp,value\n2024-03-01,a,b,c\n"))
+# The failing row comes after a blank line and a quoted line break.
+@example(("decimal", 'timestamp,value\n\n"2024-03-01",1\n"2024-\n03-01",x\n'))
+def test_load_csv_matches_the_dictreader_reference(value_type_and_text):
+    value_type, text = value_type_and_text
+    source = decl(value_type=value_type)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / source.path
+        path.write_bytes(text.encode("utf-8"))
+        got = _outcome(lambda: load_stream(source, tmp))
+        expected = _outcome(lambda: reference_load_csv(path, source))
+    assert got == expected
