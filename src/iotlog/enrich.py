@@ -72,7 +72,7 @@ class DerivationError(EnrichmentError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditRecord:
     """One addition to the log: an attached attribute or an inserted event.
 
@@ -244,11 +244,12 @@ def _coerce(value, output_type: str, context: str) -> AttrValue:
     if output_type == "int":
         if type(value) is bool:
             raise DerivationError(f"{context}: cannot coerce a boolean to int")
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise DerivationError(f"{context}: cannot coerce {value!r} to int")
+        number = int(value) if isinstance(value, float) and value.is_integer() else value
+        if not isinstance(number, int):
+            raise DerivationError(f"{context}: cannot coerce {value!r} to int")
+        if not -(2**63) <= number < 2**63:  # the range an XES <int> attribute holds
+            raise DerivationError(f"{context}: cannot coerce {value!r} to int: outside 64 bits")
+        return number
     if isinstance(value, str):
         return value
     if type(value) is bool:

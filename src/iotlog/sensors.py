@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .timeutil import parse_timestamp, to_utc, to_utc_ms
 
@@ -204,8 +204,15 @@ def _coordinate(name: str, raw, *, from_json: bool) -> float:
     return float(raw)
 
 
-def _reading_from_fields(fields, source: SourceDecl, *, from_json: bool) -> SensorReading:
-    """One reading from its raw fields in _FIELDS order; None or "" is an absent field."""
+def _reading_from_fields(
+    fields, source: SourceDecl, share: Callable[[str, str], str], *, from_json: bool
+) -> SensorReading:
+    """One reading from its raw fields in _FIELDS order; None or "" is an absent field.
+
+    `share` is the `setdefault` of one dict per loaded file: equal strings of
+    that file come back as one object, so repeated ids, units, subject keys
+    and string values are held once.
+    """
     timestamp_raw, value_raw, sensor_id, unit, subject_key, lon, lat = fields
     if timestamp_raw in _ABSENT:
         raise ValueError("missing timestamp")
@@ -213,6 +220,8 @@ def _reading_from_fields(fields, source: SourceDecl, *, from_json: bool) -> Sens
         raise ValueError("missing value")
     timestamp = parse_timestamp(str(timestamp_raw))
     value = _parse_value(value_raw, source.value_type, from_json=from_json)
+    if type(value) is str:
+        value = share(value, value)
     location = None
     if lon not in _ABSENT or lat not in _ABSENT:
         if lon in _ABSENT or lat in _ABSENT:
@@ -221,12 +230,15 @@ def _reading_from_fields(fields, source: SourceDecl, *, from_json: bool) -> Sens
             _coordinate("lon", lon, from_json=from_json),
             _coordinate("lat", lat, from_json=from_json),
         )
+    sensor_id = source.source_id if sensor_id in _ABSENT else str(sensor_id)
+    unit = None if unit in _ABSENT else str(unit)
+    subject_key = None if subject_key in _ABSENT else str(subject_key)
     return SensorReading(  # positional, in field order: binding keywords costs a share of a row
-        source.source_id if sensor_id in _ABSENT else str(sensor_id),
+        share(sensor_id, sensor_id),
         timestamp,
         value,
-        None if unit in _ABSENT else str(unit),
-        None if subject_key in _ABSENT else str(subject_key),
+        unit and share(unit, unit),
+        subject_key and share(subject_key, subject_key),
         location,
     )
 
@@ -251,6 +263,7 @@ def load_stream(source: SourceDecl, base_dir: str | Path | None = None) -> Senso
 
 def _load_csv(path: Path, source: SourceDecl) -> list[SensorReading]:
     readings = []
+    share = {}.setdefault
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
@@ -269,7 +282,7 @@ def _load_csv(path: Path, source: SourceDecl) -> list[SensorReading]:
                 row = row[:width] + [None] * (width - len(row))
             row.append(None)
             try:
-                readings.append(_reading_from_fields(pick(row), source, from_json=False))
+                readings.append(_reading_from_fields(pick(row), source, share, from_json=False))
             except ValueError as exc:
                 raise SensorIngestError(str(exc), path=str(path), row=reader.line_num) from exc
     return readings
@@ -277,6 +290,7 @@ def _load_csv(path: Path, source: SourceDecl) -> list[SensorReading]:
 
 def _load_jsonl(path: Path, source: SourceDecl) -> list[SensorReading]:
     readings = []
+    share = {}.setdefault
     with path.open(encoding="utf-8") as handle:
         for row_number, line in enumerate(handle, start=1):
             if not line.strip():
@@ -286,7 +300,7 @@ def _load_jsonl(path: Path, source: SourceDecl) -> list[SensorReading]:
                 if not isinstance(record, dict):
                     raise ValueError("each line must be a JSON object")
                 fields = [record.get(name) for name in _FIELDS]
-                readings.append(_reading_from_fields(fields, source, from_json=True))
+                readings.append(_reading_from_fields(fields, source, share, from_json=True))
             except (ValueError, TypeError, OverflowError) as exc:
                 raise SensorIngestError(str(exc), path=str(path), row=row_number) from exc
     return readings

@@ -3,7 +3,8 @@
 The model is intentionally small: a Log holds traces, a Trace holds events,
 and all three carry flat typed attributes (string, int, float, boolean,
 date). Instances are immutable after construction and safe to share across
-threads; `parse_xes` (ElementTree) and `write_xes` are pure functions.
+threads; `parse_xes` (one expat pass, no tree) and `write_xes` are pure
+functions. The model classes have slots, so an instance carries no `__dict__`.
 
 `write_xes` emits one fixed layout in a single pass, without a tree, and is
 deterministic: mandatory fields first (case_id on traces, activity and
@@ -15,10 +16,11 @@ that round-trips binary64. Equal logs serialize to identical bytes.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
+from operator import attrgetter
+from xml.parsers import expat
 
 from .timeutil import format_timestamp, parse_timestamp, to_utc_ms
 
@@ -67,7 +69,7 @@ def _normalize_value(key: str, value: AttrValue) -> AttrValue:
     raise TypeError(f"attribute {key!r}: unsupported value type {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attribute:
     """One typed key/value pair. Timestamps are stored normalized to UTC."""
 
@@ -93,7 +95,7 @@ def _get(attributes: tuple[Attribute, ...], key: str) -> AttrValue | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One process event: an activity observed at a point in time."""
 
@@ -114,7 +116,7 @@ class Event:
         return {a.key for a in self.attributes}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     """One case: a uniquely identified, time-ordered sequence of events.
 
@@ -146,7 +148,7 @@ class Trace:
         return self.events[0].timestamp, self.events[-1].timestamp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Log:
     """An event log: ordered traces plus log-scope metadata attributes."""
 
@@ -239,21 +241,20 @@ def _duplicate_key_violations(attributes, case_id, trace_index, event_index):
 # --- parsing ---------------------------------------------------------------
 
 
-def _localname(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+def _parse_attribute(tag: str, attrs: dict[str, str]) -> Attribute:
+    """One flat attribute from an element's local tag name and XML attributes.
 
-
-def _parse_attribute(element: ET.Element, where: str) -> Attribute:
-    tag = _localname(element.tag)
-    key = element.get("key")
-    raw = element.get("value")
+    Raises XesParseError without a location; the reader adds where and line.
+    """
+    key = attrs.get("key")
+    raw = attrs.get("value")
     if tag in ("list", "container"):
         raise XesParseError(
-            f"{where}: nested attribute <{tag} key={key!r}> is not supported; "
+            f"nested attribute <{tag} key={key!r}> is not supported; "
             "only flat string/int/float/boolean/date attributes are accepted"
         )
     if key is None or raw is None:
-        raise XesParseError(f"{where}: attribute element <{tag}> needs key and value")
+        raise XesParseError(f"attribute element <{tag}> needs key and value")
     try:
         if tag == "string":
             return Attribute(key, raw)
@@ -268,14 +269,13 @@ def _parse_attribute(element: ET.Element, where: str) -> Attribute:
             return Attribute(key, lowered == "true")
         if tag == "date":
             return Attribute(key, parse_timestamp(raw))
-    except XesParseError:
-        raise
     except ValueError as exc:
-        raise XesParseError(f"{where}: attribute {key!r}: {exc}") from exc
-    raise XesParseError(f"{where}: unknown attribute type tag <{tag}>")
+        raise XesParseError(f"attribute {key!r}: {exc}") from exc
+    raise XesParseError(f"unknown attribute type tag <{tag}>")
 
 
 _STRUCTURAL_TAGS = {"extension", "global", "classifier"}
+_timestamp = attrgetter("timestamp")
 
 
 def _take(attributes: list[Attribute], keys: tuple[str, ...]) -> AttrValue | None:
@@ -288,62 +288,138 @@ def _take(attributes: list[Attribute], keys: tuple[str, ...]) -> AttrValue | Non
 
 
 def parse_xes(document: bytes | str) -> Log:
-    """Parse an XES document into a Log.
+    """Parse an XES document into a Log, in one expat pass.
 
     The mandatory fields are read from `case_id`/`activity`/`timestamp`
     attribute elements (the `concept:name` / `time:timestamp` aliases are
     also accepted); everything else is kept as a plain attribute. Events are
     re-sorted by timestamp with input order preserved on ties. Extension,
-    global, and classifier declarations are skipped.
-    """
-    try:
-        root = ET.fromstring(document)
-    except ET.ParseError as exc:
-        line, column = exc.position
-        message = exc.msg.rpartition(": line ")[0] or exc.msg
-        raise XesParseError(f"XML syntax error: {message}", line=line, column=column) from exc
-    if _localname(root.tag) != "log":
-        raise XesParseError(f"expected <log> root element, found <{_localname(root.tag)}>")
+    global, and classifier declarations, the children of attribute elements,
+    text, comments and processing instructions are skipped.
 
+    A document that is not well-formed XML fails with its line and column,
+    even when a semantic error (a missing field, a bad value, a duplicate
+    case id, a wrong root) comes before the syntax error; otherwise the first
+    semantic error fails with the line of the element it concerns.
+    """
+    parser = expat.ParserCreate(None, "}")  # a namespaced name arrives as "uri}local"
     metadata: list[Attribute] = []
     traces: list[Trace] = []
     seen_cases: set[str] = set()
-    for child in root:
-        tag = _localname(child.tag)
-        if tag in _STRUCTURAL_TAGS:
-            continue
-        if tag != "trace":
-            metadata.append(_parse_attribute(child, "log"))
-            continue
+    trace_attrs: list[Attribute] = []
+    events: list[Event] = []
+    event_attrs: list[Attribute] = []
+    declared: list[str | None] = []
+    failures: list[XesParseError] = []
+    # Elements nest log (depth 1) > trace (2) > event (3) > attribute (4);
+    # in_trace/in_event say whether the open element at depth 2/3 is one.
+    depth = 0
+    in_trace = in_event = False
+    trace_line = event_line = 0
 
-        trace_index = len(traces)
-        attrs: list[Attribute] = []
-        events: list[Event] = []
-        for node in child:
-            node_tag = _localname(node.tag)
-            if node_tag != "event":
-                attrs.append(_parse_attribute(node, f"trace {trace_index}"))
-                continue
-            where = f"trace {trace_index}, event {len(events)}"
-            event_attrs = [_parse_attribute(leaf, where) for leaf in node]
-            activity = _take(event_attrs, _ACTIVITY_KEYS)
-            timestamp = _take(event_attrs, _TIMESTAMP_KEYS)
-            if activity is None or not isinstance(activity, str) or not activity:
-                raise XesParseError(f"{where}: missing mandatory activity")
-            if timestamp is None or not isinstance(timestamp, datetime):
-                raise XesParseError(f"{where}: missing mandatory timestamp")
+    def fail(message: str, line: int) -> None:
+        # Keep the first semantic error and stop building, but let expat read
+        # on: a syntax error anywhere in the document takes precedence.
+        failures.append(XesParseError(message, line=line))
+        parser.StartElementHandler = parser.EndElementHandler = None
+
+    def start(name: str, attrs: dict[str, str]) -> None:
+        nonlocal depth, in_trace, in_event, trace_line, event_line
+        depth += 1
+        tag = name[name.rfind("}") + 1 :]
+        try:
+            if depth == 4:
+                if in_event:
+                    event_attrs.append(_parse_attribute(tag, attrs))
+            elif depth == 3:
+                if in_trace:
+                    if tag == "event":
+                        in_event, event_line = True, parser.CurrentLineNumber
+                    else:
+                        trace_attrs.append(_parse_attribute(tag, attrs))
+            elif depth == 2:
+                if tag == "trace":
+                    in_trace, trace_line = True, parser.CurrentLineNumber
+                elif tag not in _STRUCTURAL_TAGS:
+                    metadata.append(_parse_attribute(tag, attrs))
+            elif depth == 1 and tag != "log":
+                fail(f"expected <log> root element, found <{tag}>", parser.CurrentLineNumber)
+        except XesParseError as exc:
+            where = ("log", f"trace {len(traces)}", f"trace {len(traces)}, event {len(events)}")
+            fail(f"{where[depth - 2]}: {exc}", parser.CurrentLineNumber)
+
+    def end(name: str) -> None:
+        nonlocal depth, in_trace, in_event
+        if depth == 3 and in_event:
+            in_event = False
+            end_event()
+        elif depth == 2 and in_trace:
+            in_trace = False
+            end_trace()
+        depth -= 1
+
+    def end_event() -> None:
+        where = f"trace {len(traces)}, event {len(events)}"
+        activity = _take(event_attrs, _ACTIVITY_KEYS)
+        timestamp = _take(event_attrs, _TIMESTAMP_KEYS)
+        if activity is None or not isinstance(activity, str) or not activity:
+            fail(f"{where}: missing mandatory activity", event_line)
+        elif timestamp is None or not isinstance(timestamp, datetime):
+            fail(f"{where}: missing mandatory timestamp", event_line)
+        else:
             events.append(Event(activity, timestamp, tuple(event_attrs)))
+        event_attrs.clear()
 
-        case_value = _take(attrs, _CASE_ID_KEYS)
-        if case_value is None:
-            raise XesParseError(f"trace {trace_index}: missing case_id")
-        case_id = str(case_value)
-        if case_id in seen_cases:
-            raise XesParseError(f"trace {trace_index}: duplicate case_id {case_id!r}")
-        seen_cases.add(case_id)
+    def end_trace() -> None:
+        case_value = _take(trace_attrs, _CASE_ID_KEYS)
+        case_id = None if case_value is None else str(case_value)
+        if case_id is None:
+            fail(f"trace {len(traces)}: missing case_id", trace_line)
+        elif not case_id:
+            fail(f"trace {len(traces)}: case_id must be non-empty", trace_line)
+        elif case_id in seen_cases:
+            fail(f"trace {len(traces)}: duplicate case_id {case_id!r}", trace_line)
+        else:
+            seen_cases.add(case_id)
+            events.sort(key=_timestamp)  # stable: ties keep input order
+            traces.append(Trace(case_id, tuple(trace_attrs), tuple(events)))
+        trace_attrs.clear()
+        events.clear()
 
-        events.sort(key=lambda e: e.timestamp)  # stable: ties keep input order
-        traces.append(Trace(case_id, tuple(attrs), tuple(events)))
+    def skipped_entity(name: str, is_parameter_entity: bool) -> None:
+        # After an unread external DTD, expat skips an undeclared entity in
+        # content silently; it is rejected as it is in a document without one.
+        if not is_parameter_entity:
+            raise XesParseError(
+                f"XML syntax error: undefined entity &{name};",
+                line=parser.CurrentLineNumber,
+                column=parser.CurrentColumnNumber,
+            )
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.SkippedEntityHandler = skipped_entity
+    parser.XmlDeclHandler = lambda version, encoding, standalone: declared.append(encoding)
+    try:
+        parser.Parse(document, False)
+        parser.Parse(b"", True)
+    except expat.ExpatError as exc:
+        message = f"XML syntax error: {expat.ErrorString(exc.code)}"
+        raise XesParseError(message, line=exc.lineno, column=exc.offset) from exc
+    except XesParseError:
+        raise
+    except (LookupError, ValueError) as exc:
+        if not declared:
+            raise
+        # expat asks Python for an encoding it does not know itself; an
+        # unknown name is a LookupError, a multi-byte codec a ValueError.
+        raise XesParseError(
+            f"unsupported XML encoding {declared[0]!r}: {exc}",
+            line=parser.ErrorLineNumber,
+            column=parser.ErrorColumnNumber,
+        ) from exc
+    if failures:
+        raise failures[0]
     return Log(tuple(traces), tuple(metadata))
 
 

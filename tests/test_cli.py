@@ -6,12 +6,16 @@ Exit-code contract: 0 success, 1 validation failure, 2 input error,
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iotlog.cli import main
 from iotlog.xes import Attribute, Trace, parse_xes, write_xes
@@ -321,6 +325,37 @@ def test_enrich_missing_sensor_file_is_an_input_error(capsys, gen_dir, tmp_path)
     assert code == 2 and "file not found" in err
 
 
+def test_enrich_an_int_derivation_outside_64_bits_exits_one(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "n_cases": 4}))
+    data = tmp_path / "data"
+    assert main(["gen", "--config", str(config), "--out", str(data)]) == 0
+    path = data / "rfid_driver_id.csv"
+    with path.open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    for row in rows[1:]:
+        row[rows[0].index("value")] = "99999999999999999999"
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    capsys.readouterr()
+    code, payload, err = jrun(
+        capsys,
+        "enrich",
+        "--log",
+        str(data / "log.xes"),
+        "--plan",
+        "scenario2",
+        "--sensors",
+        str(data),
+        "--out",
+        str(tmp_path / "out"),
+    )
+    assert code == 1 and err == ""
+    assert payload == {
+        "error": "binding 'bind-driver-id': cannot coerce 1e+20 to int: outside 64 bits"
+    }
+
+
 # --- query --------------------------------------------------------------------
 
 
@@ -347,6 +382,65 @@ def test_query_zero_matches_still_exits_zero(capsys):
 def test_query_syntax_error_is_an_input_error(capsys):
     code, _, err = run(capsys, "query", "--log", ED, "--query", "count where")
     assert code == 2 and "column 12" in err
+
+
+def test_query_on_a_log_in_an_unknown_encoding_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "log.xes"
+    path.write_bytes(b"<?xml version='1.0' encoding='UT1e999'?><log/>")
+    code, _, err = run(capsys, "query", "--log", str(path), "--query", "count")
+    assert code == 2
+    assert err == (
+        "error: unsupported XML encoding 'UT1e999': unknown encoding: UT1e999 "
+        "(line 1, column 30)\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def small_log(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli-small")
+    config = out / "config.json"
+    config.write_text(json.dumps({"seed": 1, "n_cases": 2}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--config", str(config), "--out", str(out / "data")]) == 0
+    return (out / "data" / "log.xes").read_bytes(), out / "mutated.xes"
+
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["delete", "insert", "replace"]),
+        st.floats(0, 1),  # where, as a fraction of the document's length
+        st.one_of(  # any bytes, or characters that keep a value plausible
+            st.binary(min_size=1, max_size=3),
+            st.text("0123456789.-+eE:TZ ", min_size=1, max_size=3).map(str.encode),
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+_QUERY = (
+    'cases where start_hour in [22:00, 06:00) and case.cargo_price > 1.5 '
+    'and case.customs_supervison = false and has activity "load in truck"'
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=_EDITS)
+def test_a_mutated_log_is_answered_or_rejected_never_an_internal_error(small_log, edits):
+    data, path = small_log
+    data = bytearray(data)
+    for kind, where, chunk in edits:
+        pos = int(where * (len(data) - 1))
+        if kind == "delete":
+            del data[pos : pos + len(chunk)]
+        elif kind == "insert":
+            data[pos:pos] = chunk
+        else:
+            data[pos : pos + len(chunk)] = chunk
+    path.write_bytes(bytes(data))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["query", "--log", str(path), "--query", _QUERY])
+    assert code in (0, 2), stderr.getvalue()
 
 
 # --- classify -----------------------------------------------------------------

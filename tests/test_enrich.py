@@ -352,6 +352,27 @@ def test_impossible_coercions_raise(value, output_type):
         derive_value(Derivation(Aggregator.FIRST, output_type), [reading("s", at(0), value)])
 
 
+@pytest.mark.parametrize(
+    "aggregator,value",
+    [(Aggregator.FIRST, 1e20), (Aggregator.MAX, 1e300), (Aggregator.FIRST, 2.0**63)],
+)
+def test_an_int_derivation_outside_64_bits_names_the_binding_and_value(aggregator, value):
+    readings = [reading("s", at(0), value)]
+    with pytest.raises(DerivationError) as err:
+        derive_value(Derivation(aggregator, "int"), readings, "binding 'b1'")
+    assert str(err.value) == f"binding 'b1': cannot coerce {value!r} to int: outside 64 bits"
+
+
+def test_an_int_derivation_takes_the_lowest_64_bit_value():
+    got = derive_value(Derivation(Aggregator.FIRST, "int"), [reading("s", at(0), -(2.0**63))])
+    assert got == -(2**63) and type(got) is int
+
+
+def test_audit_records_carry_no_instance_dict():
+    record = AuditRecord("case_attribute", "c1", "b1", "s1", "k", 1.0)
+    assert not hasattr(record, "__dict__")
+
+
 # --- event derivation ------------------------------------------------------------
 
 

@@ -255,6 +255,25 @@ def test_load_jsonl_uses_native_types(tmp_path):
     assert stream.readings[1].subject_key == "LPN-1"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_equal_strings_of_one_file_are_one_object(tmp_path, fmt):
+    fields = ("timestamp", "value", "sensor_id", "unit", "subject_key")
+    rows = [
+        (f"2024-03-01T12:00:{i:02}Z", ("open", "shut")[i % 2], f"gate-{i % 2}", "state",
+         f"LPN-{i % 3}")
+        for i in range(12)
+    ]
+    if fmt == "csv":
+        text = ",".join(fields) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    else:
+        text = "".join(json.dumps(dict(zip(fields, row))) + "\n" for row in rows)
+    (tmp_path / f"s1.{fmt}").write_text(text)
+    readings = load_stream(decl(fmt=fmt, value_type="string"), tmp_path).readings
+    for field in ("value", "sensor_id", "unit", "subject_key"):
+        values = [getattr(r, field) for r in readings]
+        assert len({id(v) for v in values}) == len(set(values)) < len(values), field
+
+
 def test_load_jsonl_rejects_mistyped_values_with_row(tmp_path):
     (tmp_path / "s1.jsonl").write_text(
         '{"timestamp": "2024-03-01T12:00:00+00:00", "value": 1}\n'
