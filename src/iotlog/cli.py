@@ -34,7 +34,7 @@ from .plan import (
 )
 from .query import QueryParseError, parse_query, run_query
 from .scenario import GenConfig, GenConfigError, config_from_dict, generate, write_outputs
-from .sensors import SensorIngestError, build_index, load_stream
+from .sensors import SensorIngestError, _utf8_fault, build_index, load_stream
 from .timeutil import format_timestamp
 from .xes import Log, XesParseError, parse_xes, validate_log, write_xes
 
@@ -76,11 +76,20 @@ def _read_log(path: str) -> Log:
     return parse_xes(Path(path).read_bytes())
 
 
+def _read_text(path: str, error: type[ValueError]) -> str:
+    """A UTF-8 file's text; a byte that is not UTF-8 raises `error` naming the file and line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        message, line = _utf8_fault(Path(path), exc)
+        raise error(f"{path}: {message} (line {line})") from None
+
+
 def _read_plan(path: str) -> EnrichmentPlan:
     # A bare name picks a plan bundled with the package (e.g. "scenario1").
     if "/" not in path and not path.endswith(".json") and path in bundled_plan_names():
         return bundled_plan(path)
-    return parse_plan(Path(path).read_text(encoding="utf-8"))
+    return parse_plan(_read_text(path, PlanParseError))
 
 
 def _log_violation_rows(violations) -> list[dict]:
@@ -186,7 +195,7 @@ def cmd_query(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        raw = json.loads(_read_text(args.config, GenConfigError))
         config = config_from_dict(raw)
     else:
         config = GenConfig()

@@ -3,10 +3,13 @@
 For every trace, event derivation rules run first (so freshly derived events
 can receive attributes), then bindings run in plan order on the evolving
 trace (so a binding may correlate via an attribute an earlier binding just
-wrote). Event- and instance-level values land in the log; process-level
-values land only in the sidecar report. Every addition to the log produces
-exactly one audit record, and nothing pre-existing is ever removed or
-reordered.
+wrote). A binding anchors on each event it selects when it targets an event
+attribute, and on the trace otherwise; for each anchor it correlates,
+derives, and then writes under the collision policy or contributes to the
+process report. Event- and instance-level values land in the log;
+process-level values land only in the sidecar report. Every addition to the
+log produces exactly one audit record, and nothing pre-existing is ever
+removed or reordered.
 """
 
 from __future__ import annotations
@@ -220,6 +223,15 @@ def _is_number(value) -> bool:
     return type(value) is not bool and isinstance(value, (int, float))
 
 
+def _sum(values) -> float:
+    """The left-to-right binary64 sum. From Python 3.12 the built-in sum()
+    of floats compensates its rounding, so it differs between versions."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _numeric_values(readings: list[SensorReading], context: str) -> list[float]:
     values = []
     for position, reading in enumerate(readings):
@@ -287,15 +299,9 @@ def derive_value(
     if agg is Aggregator.MAX:
         return _coerce(max(values), derivation.output_type, context)
     if agg is Aggregator.SUM:
-        total = 0.0
-        for v in values:
-            total += v
-        return _coerce(total, derivation.output_type, context)
+        return _coerce(_sum(values), derivation.output_type, context)
     if agg is Aggregator.MEAN:
-        total = 0.0
-        for v in values:
-            total += v
-        return _coerce(total / len(values), derivation.output_type, context)
+        return _coerce(_sum(values) / len(values), derivation.output_type, context)
     if agg is Aggregator.ANY_ABOVE:
         assert derivation.threshold is not None
         return _coerce(
@@ -365,32 +371,6 @@ def derive_events(
 # --- the enrichment pass ----------------------------------------------------
 
 
-def _attach(
-    attrs: dict[str, AttrValue],
-    key: str,
-    value: AttrValue,
-    policy: CollisionPolicy,
-    case_id: str,
-    scope: str,
-    binding_id: str,
-) -> tuple[bool, AttrValue | None]:
-    """Write key=value under the collision policy.
-
-    Returns (written, replaced_value). written=False means skip left the
-    existing value alone; policy=error raises instead.
-    """
-    if key in attrs:
-        if policy is CollisionPolicy.ERROR:
-            raise CollisionError(case_id, key, scope, binding_id)
-        if policy is CollisionPolicy.SKIP:
-            return False, None
-        replaced = attrs[key]
-        attrs[key] = value
-        return True, replaced
-    attrs[key] = value
-    return True, None
-
-
 def _enrich_trace(
     trace: Trace, index: StreamIndex, plan: EnrichmentPlan
 ) -> tuple[Trace, list[AuditRecord], list[str], list[tuple[str, float]]]:
@@ -444,86 +424,75 @@ def _enrich_trace(
                 )
             )
 
-    # Step 2: bindings, in plan order, on the evolving trace.
+    # Step 2: bindings, in plan order, on the evolving trace. The anchor
+    # None stands for the trace. Event writes collect per event position.
+    written: dict[int, dict[str, AttrValue]] = {}
     for binding in plan.bindings:
         kind = binding.target.kind
         key = binding.target.key
         source_id = binding.source_id
+        binding_id = binding.binding_id
+        anchors: list[int | None] = [None]
         if kind is TargetKind.EVENT_ATTRIBUTE:
             wanted = binding.target.activity_filter
-            warned = False
-            for pos, event in enumerate(events):
-                if wanted and event.activity not in wanted:
-                    continue
+            anchors = [p for p, e in enumerate(events) if not wanted or e.activity in wanted]
+        for pos in anchors:
+            if pos is None:
+                readings, warning = correlate_trace(
+                    binding.correlation, index, source_id, events, trace_attrs, case_id
+                )
+            else:
                 readings, warning = correlate_event(
-                    binding.correlation, index, source_id, event, events, trace_attrs, case_id
+                    binding.correlation, index, source_id, events[pos], events,
+                    trace_attrs, case_id,
                 )
-                if warning:
-                    if not warned:
-                        warnings.append(warning)
-                        warned = True
-                    continue
-                value = derive_value(
-                    binding.derivation, readings, f"binding {binding.binding_id!r}"
-                )
-                if value is None:
-                    continue
-                attrs = {a.key: a.value for a in event.attributes}
-                written, replaced = _attach(
-                    attrs, key, value, policy, case_id, "event", binding.binding_id
-                )
-                if not written:
-                    continue
-                attributes = tuple(Attribute(k, v) for k, v in attrs.items())
-                events[pos] = Event(event.activity, event.timestamp, attributes)
-                audit.append(
-                    AuditRecord(
-                        kind="event_attribute",
-                        case_id=case_id,
-                        binding_id=binding.binding_id,
-                        source_id=source_id,
-                        key=key,
-                        value=value,
-                        readings=tuple(readings),
-                        event_index=pos,
-                        replaced=replaced,
+            if warning:
+                # A warning depends only on the trace's attributes, so it
+                # would repeat for every further anchor: end the binding here.
+                warnings.append(warning)
+                break
+            value = derive_value(binding.derivation, readings, f"binding {binding_id!r}")
+            if value is None:
+                continue
+            if kind is TargetKind.PROCESS_REPORT_ENTRY:
+                if not _is_number(value):
+                    raise DerivationError(
+                        f"binding {binding_id!r}: process report entries must be "
+                        f"numeric, got {value!r}"
                     )
+                contributions.append((key, float(value)))
+                continue
+            if pos is None:
+                attrs, scope = trace_attrs, "case"
+            else:
+                attrs = written.get(pos) or {a.key: a.value for a in events[pos].attributes}
+                scope = "event"
+            if key in attrs:
+                if policy is CollisionPolicy.ERROR:
+                    raise CollisionError(case_id, key, scope, binding_id)
+                if policy is CollisionPolicy.SKIP:
+                    continue
+            replaced = attrs.get(key)
+            attrs[key] = value
+            if pos is not None:
+                written[pos] = attrs
+            audit.append(
+                AuditRecord(
+                    kind=f"{scope}_attribute",
+                    case_id=case_id,
+                    binding_id=binding_id,
+                    source_id=source_id,
+                    key=key,
+                    value=value,
+                    readings=tuple(readings),
+                    event_index=pos,
+                    replaced=replaced,
                 )
-            continue
-
-        readings, warning = correlate_trace(
-            binding.correlation, index, source_id, events, trace_attrs, case_id
-        )
-        if warning:
-            warnings.append(warning)
-            continue
-        value = derive_value(binding.derivation, readings, f"binding {binding.binding_id!r}")
-        if value is None:
-            continue
-        if kind is TargetKind.CASE_ATTRIBUTE:
-            written, replaced = _attach(
-                trace_attrs, key, value, policy, case_id, "case", binding.binding_id
             )
-            if written:
-                audit.append(
-                    AuditRecord(
-                        kind="case_attribute",
-                        case_id=case_id,
-                        binding_id=binding.binding_id,
-                        source_id=source_id,
-                        key=key,
-                        value=value,
-                        readings=tuple(readings),
-                        replaced=replaced,
-                    )
-                )
-        else:
-            if not _is_number(value):
-                raise DerivationError(
-                    f"binding {binding.binding_id!r}: process report entries must be "
-                    f"numeric, got {value!r}"
-                )
-            contributions.append((key, float(value)))
+    for pos, attrs in written.items():  # each written event is rebuilt once
+        event = events[pos]
+        attributes = tuple(Attribute(k, v) for k, v in attrs.items())
+        events[pos] = Event(event.activity, event.timestamp, attributes)
 
     new_trace = Trace(
         case_id=case_id,
@@ -564,7 +533,7 @@ def enrich(log: Log, index: StreamIndex, plan: EnrichmentPlan) -> EnrichmentResu
             contributions[key].append((trace.case_id, value))
 
     entries = {
-        key: sum(v for _, v in pairs) / len(pairs) if pairs else None
+        key: _sum(v for _, v in pairs) / len(pairs) if pairs else None
         for key, pairs in contributions.items()
     }
     return EnrichmentResult(

@@ -254,11 +254,33 @@ def load_stream(source: SourceDecl, base_dir: str | Path | None = None) -> Senso
     path = Path(base_dir) / source.path if base_dir is not None else Path(source.path)
     if not path.is_file():
         raise SensorIngestError("file not found", path=str(path))
-    if source.format == "csv":
-        readings = _load_csv(path, source)
-    else:
-        readings = _load_jsonl(path, source)
+    try:
+        if source.format == "csv":
+            readings = _load_csv(path, source)
+        else:
+            readings = _load_jsonl(path, source)
+    except UnicodeDecodeError as exc:
+        message, line = _utf8_fault(path, exc)
+        raise SensorIngestError(message, path=str(path), row=line) from None
+    except csv.Error as exc:  # a NUL byte before Python 3.11, or a field over the size limit
+        raise SensorIngestError(str(exc), path=str(path)) from None
     return SensorStream(source.source_id, source.sensor_type, tuple(readings))
+
+
+def _utf8_fault(path: Path, exc: UnicodeDecodeError) -> tuple[str, int | None]:
+    """What is wrong with a file that failed to decode as UTF-8, and on which line.
+
+    A text stream decodes in chunks, so `exc` does not say where in the file
+    the bad byte is; the file's bytes are decoded again to find it. Only
+    this error path reads them.
+    """
+    data = path.read_bytes()
+    line = None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as first:
+        exc, line = first, data.count(b"\n", 0, first.start) + 1
+    return f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})", line
 
 
 def _load_csv(path: Path, source: SourceDecl) -> list[SensorReading]:

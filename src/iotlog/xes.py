@@ -241,10 +241,13 @@ def _duplicate_key_violations(attributes, case_id, trace_index, event_index):
 # --- parsing ---------------------------------------------------------------
 
 
-def _parse_attribute(tag: str, attrs: dict[str, str]) -> Attribute:
+def _parse_attribute(tag: str, attrs: dict[str, str], share) -> Attribute:
     """One flat attribute from an element's local tag name and XML attributes.
 
-    Raises XesParseError without a location; the reader adds where and line.
+    `share` is the `setdefault` of one dict per parse: the key and a string
+    value come back as the document's first equal string, so repeated keys,
+    activities and values are held once. Raises XesParseError without a
+    location; the reader adds where and line.
     """
     key = attrs.get("key")
     raw = attrs.get("value")
@@ -255,9 +258,10 @@ def _parse_attribute(tag: str, attrs: dict[str, str]) -> Attribute:
         )
     if key is None or raw is None:
         raise XesParseError(f"attribute element <{tag}> needs key and value")
+    key = share(key, key)
     try:
         if tag == "string":
-            return Attribute(key, raw)
+            return Attribute(key, share(raw, raw))
         if tag == "int":
             return Attribute(key, int(raw))
         if tag == "float":
@@ -311,6 +315,7 @@ def parse_xes(document: bytes | str) -> Log:
     event_attrs: list[Attribute] = []
     declared: list[str | None] = []
     failures: list[XesParseError] = []
+    share = {}.setdefault
     # Elements nest log (depth 1) > trace (2) > event (3) > attribute (4);
     # in_trace/in_event say whether the open element at depth 2/3 is one.
     depth = 0
@@ -330,18 +335,18 @@ def parse_xes(document: bytes | str) -> Log:
         try:
             if depth == 4:
                 if in_event:
-                    event_attrs.append(_parse_attribute(tag, attrs))
+                    event_attrs.append(_parse_attribute(tag, attrs, share))
             elif depth == 3:
                 if in_trace:
                     if tag == "event":
                         in_event, event_line = True, parser.CurrentLineNumber
                     else:
-                        trace_attrs.append(_parse_attribute(tag, attrs))
+                        trace_attrs.append(_parse_attribute(tag, attrs, share))
             elif depth == 2:
                 if tag == "trace":
                     in_trace, trace_line = True, parser.CurrentLineNumber
                 elif tag not in _STRUCTURAL_TAGS:
-                    metadata.append(_parse_attribute(tag, attrs))
+                    metadata.append(_parse_attribute(tag, attrs, share))
             elif depth == 1 and tag != "log":
                 fail(f"expected <log> root element, found <{tag}>", parser.CurrentLineNumber)
         except XesParseError as exc:

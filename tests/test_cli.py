@@ -11,13 +11,16 @@ import csv
 import hashlib
 import io
 import json
+import re
 import shutil
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iotlog.cli import main
+from iotlog.plan import bundled_plan
 from iotlog.xes import Attribute, Trace, parse_xes, write_xes
 
 from conftest import FIXTURES, at, ev, mklog
@@ -356,6 +359,108 @@ def test_enrich_an_int_derivation_outside_64_bits_exits_one(capsys, tmp_path):
     }
 
 
+@pytest.fixture(scope="module")
+def small_scenario(tmp_path_factory):
+    """A 4-case generated scenario with the bundled scenario2 plan as plan.json."""
+    out = tmp_path_factory.mktemp("cli-enrich")
+    config = out / "config.json"
+    config.write_text(json.dumps({"seed": 1, "n_cases": 4}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--config", str(config), "--out", str(out / "data")]) == 0
+    plan = resources.files("iotlog.plans").joinpath("scenario2.json").read_bytes()
+    (out / "data" / "plan.json").write_bytes(plan)
+    return out / "data"
+
+
+def _enrich_scenario(data, out):
+    """Run `iotlog enrich` on a small scenario in-process; return (code, stderr)."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(
+            [
+                "enrich",
+                "--log", str(data / "log.xes"),
+                "--plan", str(data / "plan.json"),
+                "--sensors", str(data),
+                "--out", str(out),
+            ]
+        )
+    return code, stderr.getvalue()
+
+
+@pytest.mark.parametrize(
+    "name, where", [("rain.csv", "(row 3)"), ("plan.json", "(line 3)")]
+)
+def test_a_byte_that_is_not_utf8_names_the_file_and_where(small_scenario, tmp_path, name, where):
+    data = tmp_path / "data"
+    shutil.copytree(small_scenario, data)
+    body = (data / name).read_bytes()
+    at_byte = body.index(b"\n", body.index(b"\n") + 1) + 3  # on the third line
+    (data / name).write_bytes(body[:at_byte] + b"\xff" + body[at_byte + 1 :])
+    code, err = _enrich_scenario(data, tmp_path / "out")
+    assert code == 2
+    assert str(data / name) in err and "byte 0xff is not UTF-8" in err and where in err
+
+
+def test_a_gen_config_byte_that_is_not_utf8_names_the_file_and_line(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"seed": 1,\n "n_cases": \xff4}')
+    code, _, err = run(capsys, "gen", "--config", str(config), "--out", str(tmp_path / "d"))
+    assert code == 2
+    assert f"{config}: byte 0xff is not UTF-8 (invalid start byte) (line 2)" in err
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    """Apply byte deletions, insertions and replacements at fractional positions."""
+    data = bytearray(data)
+    for kind, where, chunk in edits:
+        pos = int(where * (len(data) - 1))
+        if kind == "delete":
+            del data[pos : pos + len(chunk)]
+        elif kind == "insert":
+            data[pos:pos] = chunk
+        else:
+            data[pos : pos + len(chunk)] = chunk
+    return bytes(data)
+
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["delete", "insert", "replace"]),
+        st.floats(0, 1),  # where, as a fraction of the document's length
+        st.one_of(  # any bytes, or characters that keep a value plausible
+            st.binary(min_size=1, max_size=3),
+            st.text("0123456789.-+eE:TZ ", min_size=1, max_size=3).map(str.encode),
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+# The inputs of one enrich run: the log, the plan, and the sensor files it reads.
+_ENRICH_INPUTS = ["log.xes", "plan.json"] + sorted(
+    {source.path for source in bundled_plan("scenario2").sources}
+)
+_LOCATED = re.compile(r"\((?:row|line) \d+|line \d+ column \d+|^error: /")  # or a file's path
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(_ENRICH_INPUTS), edits=_EDITS)
+def test_a_mutated_enrich_input_is_answered_or_rejected_with_a_location(
+    small_scenario, tmp_path_factory, name, edits
+):
+    path = small_scenario / name
+    original = path.read_bytes()
+    path.write_bytes(_mutate(original, edits))
+    try:
+        code, err = _enrich_scenario(small_scenario, tmp_path_factory.getbasetemp() / "mutated")
+    finally:
+        path.write_bytes(original)
+    assert code in (0, 1, 2) and "internal error" not in err, err
+    if code == 2:
+        assert str(small_scenario) in err or _LOCATED.search(err), err
+
+
 # --- query --------------------------------------------------------------------
 
 
@@ -405,18 +510,6 @@ def small_log(tmp_path_factory):
     return (out / "data" / "log.xes").read_bytes(), out / "mutated.xes"
 
 
-_EDITS = st.lists(
-    st.tuples(
-        st.sampled_from(["delete", "insert", "replace"]),
-        st.floats(0, 1),  # where, as a fraction of the document's length
-        st.one_of(  # any bytes, or characters that keep a value plausible
-            st.binary(min_size=1, max_size=3),
-            st.text("0123456789.-+eE:TZ ", min_size=1, max_size=3).map(str.encode),
-        ),
-    ),
-    min_size=1,
-    max_size=4,
-)
 _QUERY = (
     'cases where start_hour in [22:00, 06:00) and case.cargo_price > 1.5 '
     'and case.customs_supervison = false and has activity "load in truck"'
@@ -427,16 +520,7 @@ _QUERY = (
 @given(edits=_EDITS)
 def test_a_mutated_log_is_answered_or_rejected_never_an_internal_error(small_log, edits):
     data, path = small_log
-    data = bytearray(data)
-    for kind, where, chunk in edits:
-        pos = int(where * (len(data) - 1))
-        if kind == "delete":
-            del data[pos : pos + len(chunk)]
-        elif kind == "insert":
-            data[pos:pos] = chunk
-        else:
-            data[pos : pos + len(chunk)] = chunk
-    path.write_bytes(bytes(data))
+    path.write_bytes(_mutate(data, edits))
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         code = main(["query", "--log", str(path), "--query", _QUERY])

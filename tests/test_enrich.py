@@ -8,11 +8,15 @@ collision policies, audit completeness, report separation).
 
 from __future__ import annotations
 
+import importlib
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iotlog.enrich import (
+    DERIVED_FROM_KEY,
     AuditRecord,
     CollisionError,
     DerivationError,
@@ -34,6 +38,7 @@ from iotlog.plan import (
     Derivation,
     EnrichmentPlan,
     EventDerivationRule,
+    LEVEL_TARGETS,
     IoTContextCategory,
     ProcessContextLevel,
     SourceDecl,
@@ -41,8 +46,12 @@ from iotlog.plan import (
     TargetKind,
 )
 from iotlog.sensors import SensorStream, build_index
+from iotlog.xes import Attribute, Event, Trace
 
 from conftest import at, ev, mklog, reading, tr
+
+# The package attribute `iotlog.enrich` is the function; import_module gives the module.
+ENGINE = importlib.import_module("iotlog.enrich")
 
 SPAN = Correlation(CorrelationStrategy.SPAN_OVERLAP)
 BEFORE = Correlation(CorrelationStrategy.NEAREST_BEFORE)
@@ -697,6 +706,32 @@ def test_process_entries_average_across_cases_and_stay_out_of_the_log():
             assert "mean_reading" not in event.attribute_keys()
 
 
+def test_process_entries_and_sums_add_left_to_right_on_every_python():
+    # Left to right, 1e16 + 1.0 rounds back to 1e16, so the sum is 0.0.
+    # From Python 3.12 the built-in sum() compensates and would give 1.0.
+    xs = [1e16, 1.0, -1e16]
+    log = mklog(*(tr(f"c{i}", [ev("a", at(0))]) for i in range(len(xs))))
+    index = build_index(
+        [stream("s", [reading("s", at(0), x, subject=f"c{i}") for i, x in enumerate(xs)])]
+    )
+    plan = simple_plan(
+        binding(
+            "b1",
+            "s",
+            level=ProcessContextLevel.PROCESS,
+            kind=TargetKind.PROCESS_REPORT_ENTRY,
+            key="m",
+            correlation=Correlation(
+                CorrelationStrategy.SUBJECT_KEY_EQUALS, subject_attribute="case_id"
+            ),
+        )
+    )
+    assert enrich(log, index, plan).report.entries == {"m": 0.0}
+    readings = [reading("s", at(i), x) for i, x in enumerate(xs)]
+    assert derive_value(Derivation(Aggregator.SUM, "float"), readings) == 0.0
+    assert derive_value(Derivation(Aggregator.MEAN, "float"), readings) == 0.0
+
+
 def test_process_entry_with_no_contributors_is_none():
     log = mklog(tr("c1", [ev("a", at(0))]))
     index = build_index([stream("s", [])])
@@ -901,3 +936,329 @@ def test_derived_events_and_positions_match_a_brute_force_reference(
     )
     once = enrich_against_reference(log, index, rules[:1])
     enrich_against_reference(once.log, index, rules)
+
+
+# --- the binding kernel vs the former two-copy kernel --------------------------------
+
+
+def reference_attach(attrs, key, value, policy, case_id, scope, binding_id):
+    """The former `_attach`: write key=value under the collision policy."""
+    if key in attrs:
+        if policy is CollisionPolicy.ERROR:
+            raise CollisionError(case_id, key, scope, binding_id)
+        if policy is CollisionPolicy.SKIP:
+            return False, None
+        replaced = attrs[key]
+        attrs[key] = value
+        return True, replaced
+    attrs[key] = value
+    return True, None
+
+
+def reference_enrich_trace(trace, index, plan):
+    """The former `_enrich_trace`, kept as the reference for the one binding loop.
+
+    Event-attribute targets had a loop of their own, warned once and then
+    skipped every further event, and rebuilt the event for every value written.
+    """
+    case_id = trace.case_id
+    events = list(trace.events)
+    trace_attrs = {a.key: a.value for a in trace.attributes}
+    audit, warnings, contributions = [], [], []
+    policy = plan.collision_policy
+
+    candidates = []
+    for rule in plan.event_rules:
+        derived, warning = derive_events(rule, index, events, trace_attrs, case_id)
+        if warning:
+            warnings.append(warning)
+        candidates += [(rule, e, trigger) for e, trigger in derived]
+    if candidates:
+        seen = {(e.activity, e.timestamp, e.get(DERIVED_FROM_KEY)) for e in events}
+        inserted = []
+        for rule, e, trigger in candidates:
+            key = (e.activity, e.timestamp, rule.rule_id)
+            if key not in seen:
+                seen.add(key)
+                inserted.append((rule, e, trigger))
+        merged = events + [e for _, e, _ in inserted]
+        order = sorted(range(len(merged)), key=lambda i: merged[i].timestamp)
+        events = [merged[i] for i in order]
+        position = {i: pos for pos, i in enumerate(order)}
+        for i, (rule, e, trigger) in enumerate(inserted, start=len(trace.events)):
+            audit.append(
+                AuditRecord(
+                    kind="derived_event",
+                    case_id=case_id,
+                    binding_id=rule.rule_id,
+                    source_id=rule.source_id,
+                    key=e.activity,
+                    value=e.timestamp,
+                    readings=(trigger,),
+                    event_index=position[i],
+                )
+            )
+
+    for b in plan.bindings:
+        kind, key, source_id = b.target.kind, b.target.key, b.source_id
+        if kind is TargetKind.EVENT_ATTRIBUTE:
+            wanted = b.target.activity_filter
+            warned = False
+            for pos, event in enumerate(events):
+                if wanted and event.activity not in wanted:
+                    continue
+                readings, warning = correlate_event(
+                    b.correlation, index, source_id, event, events, trace_attrs, case_id
+                )
+                if warning:
+                    if not warned:
+                        warnings.append(warning)
+                        warned = True
+                    continue
+                value = derive_value(b.derivation, readings, f"binding {b.binding_id!r}")
+                if value is None:
+                    continue
+                attrs = {a.key: a.value for a in event.attributes}
+                written, replaced = reference_attach(
+                    attrs, key, value, policy, case_id, "event", b.binding_id
+                )
+                if not written:
+                    continue
+                attributes = tuple(Attribute(k, v) for k, v in attrs.items())
+                events[pos] = Event(event.activity, event.timestamp, attributes)
+                audit.append(
+                    AuditRecord(
+                        kind="event_attribute",
+                        case_id=case_id,
+                        binding_id=b.binding_id,
+                        source_id=source_id,
+                        key=key,
+                        value=value,
+                        readings=tuple(readings),
+                        event_index=pos,
+                        replaced=replaced,
+                    )
+                )
+            continue
+
+        readings, warning = correlate_trace(
+            b.correlation, index, source_id, events, trace_attrs, case_id
+        )
+        if warning:
+            warnings.append(warning)
+            continue
+        value = derive_value(b.derivation, readings, f"binding {b.binding_id!r}")
+        if value is None:
+            continue
+        if kind is TargetKind.CASE_ATTRIBUTE:
+            written, replaced = reference_attach(
+                trace_attrs, key, value, policy, case_id, "case", b.binding_id
+            )
+            if written:
+                audit.append(
+                    AuditRecord(
+                        kind="case_attribute",
+                        case_id=case_id,
+                        binding_id=b.binding_id,
+                        source_id=source_id,
+                        key=key,
+                        value=value,
+                        readings=tuple(readings),
+                        replaced=replaced,
+                    )
+                )
+        else:
+            if type(value) is bool or not isinstance(value, (int, float)):
+                raise DerivationError(
+                    f"binding {b.binding_id!r}: process report entries must be "
+                    f"numeric, got {value!r}"
+                )
+            contributions.append((key, float(value)))
+
+    new_trace = Trace(
+        case_id=case_id,
+        attributes=tuple(Attribute(k, v) for k, v in trace_attrs.items()),
+        events=tuple(events),
+    )
+    return new_trace, audit, warnings, contributions
+
+
+ACTIVITIES = ["a", "b", "alarm"]
+CORRELATIONS = [
+    SPAN,
+    BEFORE,
+    Correlation(CorrelationStrategy.NEAREST_WITHIN, window_seconds=3),
+    Correlation(CorrelationStrategy.SUBJECT_KEY_EQUALS, subject_attribute="plate"),
+    Correlation(CorrelationStrategy.SUBJECT_KEY_EQUALS, subject_attribute="case_id"),
+]
+DERIVATIONS = [
+    None,
+    Derivation(Aggregator.LAST, "float"),
+    Derivation(Aggregator.MEAN, "float"),
+    Derivation(Aggregator.MAX, "int"),
+    Derivation(Aggregator.FIRST, "string"),  # not numeric: a process target fails
+    Derivation(Aggregator.ANY_ABOVE, "boolean", threshold=30.0),
+    Derivation(Aggregator.THRESHOLD_BUCKET, "string", boundaries=(20.0,), labels=("lo", "hi")),
+]
+# Per target kind, the keys a binding may write: v, w and k collide with
+# attributes the drawn log may already hold, and derived_from with the mark
+# every derived event carries.
+TARGET_KEYS = {
+    TargetKind.EVENT_ATTRIBUTE: ["v", "w", DERIVED_FROM_KEY],
+    TargetKind.CASE_ATTRIBUTE: ["k", "m"],
+    TargetKind.PROCESS_REPORT_ENTRY: ["p", "q"],
+}
+LEVELS = {kind: level for level, kind in LEVEL_TARGETS.items()}
+
+kernel_events = st.lists(
+    st.tuples(
+        st.integers(0, 8),
+        st.sampled_from(ACTIVITIES),
+        st.sampled_from([{}, {"v": 1.0}, {"w": "x"}, {"v": 2.0, "w": "y"}]),
+    ),
+    min_size=1,
+    max_size=4,
+).map(lambda body: sorted(body, key=lambda e: e[0]))
+kernel_traces = st.lists(
+    st.tuples(
+        kernel_events,
+        st.sampled_from([{}, {"plate": "x"}, {"plate": "y"}, {"plate": 7}, {"plate": 1.5},
+                         {"plate": True}]),  # missing, strings, an int, a float, a bool
+        st.sampled_from([{}, {"k": "old"}]),
+    ),
+    min_size=1,
+    max_size=3,
+)
+kernel_readings = st.lists(
+    st.tuples(
+        st.integers(0, 8),
+        st.sampled_from([10.0, 25.0, 40.0]),
+        st.sampled_from([None, "x", "y", "7", "c0", "c1"]),
+    ),
+    max_size=10,
+)
+kernel_bindings = st.lists(
+    st.sampled_from(list(TARGET_KEYS)).flatmap(
+        lambda kind: st.tuples(
+            st.just(kind),
+            st.sampled_from(TARGET_KEYS[kind]),
+            st.sampled_from(["s", "u"]),
+            st.sampled_from(CORRELATIONS),
+            st.sampled_from(DERIVATIONS),
+            st.lists(st.sampled_from(ACTIVITIES), max_size=2, unique=True)
+            if kind is TargetKind.EVENT_ATTRIBUTE
+            else st.just([]),
+        )
+    ),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda spec: spec[:2],  # a repeated (kind, key) makes the plan invalid
+)
+kernel_rules = st.lists(
+    st.tuples(
+        st.sampled_from(["s", "u"]),
+        st.sampled_from([SPAN, CORRELATIONS[3]]),
+        st.sampled_from(["above", "below"]),
+        st.sampled_from(ACTIVITIES),
+    ),
+    max_size=2,
+)
+
+
+def _result_or_error(run):
+    try:
+        return run()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+EVENT, CASE, PROCESS = list(TARGET_KEYS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kernel_traces,
+    kernel_readings,
+    kernel_readings,
+    kernel_bindings,
+    kernel_rules,
+    st.sampled_from(list(CollisionPolicy)),
+)
+# Two bindings write every event, a derived one too, over an existing key;
+# a case and a process binding run beside them.
+@example(
+    [([(0, "a", {"v": 1.0}), (5, "b", {})], {"plate": "x"}, {"k": "old"})],
+    [(0, 10.0, "x"), (5, 40.0, "x")],
+    [(3, 25.0, None)],
+    [
+        (EVENT, "v", "s", BEFORE, None, []),
+        (EVENT, "w", "u", SPAN, DERIVATIONS[2], []),
+        (CASE, "k", "s", CORRELATIONS[3], DERIVATIONS[1], []),
+        (PROCESS, "p", "u", SPAN, DERIVATIONS[2], []),
+    ],
+    [("s", SPAN, "above", "alarm")],
+    CollisionPolicy.OVERWRITE,
+)
+# An event-level subject binding: the plate is missing in one case, a float
+# in the other; each warns once.
+@example(
+    [([(0, "a", {}), (1, "b", {})], {}, {}), ([(0, "a", {})], {"plate": 1.5}, {})],
+    [(0, 10.0, "x")],
+    [],
+    [(EVENT, "v", "s", CORRELATIONS[3], None, [])],
+    [],
+    CollisionPolicy.ERROR,
+)
+# A filtered binding meets the derived_from mark of the events a rule derived.
+@example(
+    [([(0, "a", {}), (8, "b", {})], {}, {})],
+    [(2, 40.0, None), (4, 10.0, None), (6, 40.0, None)],
+    [],
+    [(EVENT, DERIVED_FROM_KEY, "s", BEFORE, DERIVATIONS[4], ["alarm", "b"])],
+    [("s", SPAN, "above", "alarm")],
+    CollisionPolicy.SKIP,
+)
+def test_the_binding_kernel_matches_the_two_copy_reference(
+    traces, s_rows, u_rows, binding_specs, rule_specs, policy
+):
+    log = mklog(
+        *(
+            tr(f"c{n}", [ev(a, at(t), **attrs) for t, a, attrs in body], **plate, **case)
+            for n, (body, plate, case) in enumerate(traces)
+        )
+    )
+    index = build_index(
+        [
+            stream(source_id, [reading(source_id, at(t), v, subject=k) for t, v, k in rows])
+            for source_id, rows in (("s", s_rows), ("u", u_rows))
+        ]
+    )
+    bindings = [
+        binding(
+            f"b{i}",
+            source_id,
+            level=LEVELS[kind],
+            kind=kind,
+            key=key,
+            correlation=correlation,
+            derivation=derivation,
+            activity_filter=wanted,
+        )
+        for i, (kind, key, source_id, correlation, derivation, wanted) in enumerate(
+            binding_specs
+        )
+    ]
+    rules = [
+        EventDerivationRule(f"r{i}", source_id, correlation, Condition(op, 30.0), activity)
+        for i, (source_id, correlation, op, activity) in enumerate(rule_specs)
+    ]
+    plan = simple_plan(
+        *bindings,
+        sources=[declare("s"), declare("u")],
+        event_rules=rules,
+        collision=policy,
+    )
+    got = _result_or_error(lambda: enrich(log, index, plan))
+    with mock.patch.object(ENGINE, "_enrich_trace", reference_enrich_trace):
+        expected = _result_or_error(lambda: enrich(log, index, plan))
+    assert got == expected

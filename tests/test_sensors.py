@@ -443,6 +443,33 @@ def test_load_stream_is_deterministic(tmp_path):
     assert [r.value for r in load_stream(decl(), tmp_path).readings] == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3("])  # a bad start byte, a cut sequence
+def test_a_byte_that_is_not_utf8_is_a_located_ingest_error(tmp_path, fmt, bad):
+    good = "2024-03-01T12:00:00+00:00"
+    if fmt == "csv":
+        lines = ["timestamp,value", *(f"{good},{n}" for n in range(2000)), f"{good},1"]
+    else:
+        lines = [f'{{"timestamp": "{good}", "value": {n}}}' for n in range(2001)]
+    # The bad byte sits on the last line, far past the first chunk a text
+    # stream decodes.
+    body = "\n".join(lines).encode()
+    at_byte = body.rindex(b"1")
+    (tmp_path / f"s1.{fmt}").write_bytes(body[:at_byte] + bad + body[at_byte + 1 :])
+    with pytest.raises(SensorIngestError, match="is not UTF-8") as err:
+        load_stream(decl(fmt=fmt), tmp_path)
+    assert (err.value.path, err.value.row) == (str(tmp_path / f"s1.{fmt}"), len(lines))
+    assert f"byte 0x{bad[0]:02x}" in str(err.value)
+
+
+def test_a_csv_field_over_the_size_limit_is_an_ingest_error_naming_the_file(tmp_path):
+    field = "x" * (csv.field_size_limit() + 1)
+    (tmp_path / "s1.csv").write_text(f'timestamp,value\n2024-03-01T12:00:00Z,"{field}"\n')
+    with pytest.raises(SensorIngestError, match="field larger than field limit") as err:
+        load_stream(decl(value_type="string"), tmp_path)
+    assert err.value.path == str(tmp_path / "s1.csv")
+
+
 def test_missing_file_is_an_ingest_error(tmp_path):
     with pytest.raises(SensorIngestError, match="file not found"):
         load_stream(decl(), tmp_path)

@@ -732,3 +732,22 @@ def test_model_instances_carry_no_instance_dict():
     event = ev("a", at(0), k=1)
     for obj in (Attribute("k", 1), event, tr("c", [event]), mklog(tr("c"))):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+def test_equal_keys_activities_and_string_values_of_one_document_are_one_object():
+    # Each equal text is spelt out anew in the document, so expat hands the
+    # reader a fresh string for each.
+    log = mklog(
+        tr("c1", [ev("load", at(0), plate="LPN-1", w=1.0), ev("load", at(1), step="load")],
+           plate="LPN-1"),
+        tr("c2", [ev("load", at(2), plate="LPN-1", w=2.0)], plate="LPN-1"),
+    )
+    parsed = parse_xes(write_xes(log))
+    events = [e for t in parsed.traces for e in t.events]
+    attributes = [a for t in parsed.traces for a in t.attributes]
+    attributes += [a for e in events for a in e.attributes]
+    assert len({id(a.key) for a in attributes}) == len({a.key for a in attributes}) == 3
+    assert len({id(a.value) for a in attributes if a.key == "plate"}) == 1
+    # An activity is a string value too, so it shares with an equal value.
+    activities = {id(e.activity) for e in events}
+    assert activities == {id(a.value) for a in attributes if a.key == "step"}
