@@ -34,7 +34,7 @@ from .plan import (
 )
 from .query import QueryParseError, parse_query, run_query
 from .scenario import GenConfig, GenConfigError, config_from_dict, generate, write_outputs
-from .sensors import SensorIngestError, _utf8_fault, build_index, load_stream
+from .sensors import SensorIngestError, StreamIndex, _utf8_fault, build_index, load_stream
 from .timeutil import format_timestamp
 from .xes import Log, XesParseError, parse_xes, validate_log, write_xes
 
@@ -76,20 +76,34 @@ def _read_log(path: str) -> Log:
     return parse_xes(Path(path).read_bytes())
 
 
-def _read_text(path: str, error: type[ValueError]) -> str:
-    """A UTF-8 file's text; a byte that is not UTF-8 raises `error` naming the file and line."""
+class InputFileError(ValueError):
+    """A plan or config file that does not hold what it should; the message names the file."""
+
+
+def _read_json(path: str):
+    """A UTF-8 JSON file's value; a bad byte or bad JSON raises InputFileError naming the file and where."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         message, line = _utf8_fault(Path(path), exc)
-        raise error(f"{path}: {message} (line {line})") from None
+        raise InputFileError(f"{path}: {message} (line {line})") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFileError(
+            f"{path}: invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
+        ) from None
 
 
 def _read_plan(path: str) -> EnrichmentPlan:
     # A bare name picks a plan bundled with the package (e.g. "scenario1").
     if "/" not in path and not path.endswith(".json") and path in bundled_plan_names():
         return bundled_plan(path)
-    return parse_plan(_read_text(path, PlanParseError))
+    data = _read_json(path)
+    try:
+        return parse_plan(data)
+    except PlanParseError as exc:
+        raise InputFileError(f"{path}: {exc}") from None
 
 
 def _log_violation_rows(violations) -> list[dict]:
@@ -120,32 +134,36 @@ def cmd_validate(args) -> int:
     return EXIT_VALIDATION if rows else EXIT_OK
 
 
-def _audit_row(record) -> dict:
-    row = {
-        "kind": record.kind,
-        "case_id": record.case_id,
-        "binding_id": record.binding_id,
-        "source_id": record.source_id,
-        "key": record.key,
-        "value": _json_value(record.value),
-        "readings": [
-            {
-                "sensor_id": r.sensor_id,
-                "timestamp": format_timestamp(r.timestamp),
-                "value": _json_value(r.value),
-                **({"subject_key": r.subject_key} if r.subject_key else {}),
-            }
-            for r in record.readings
-        ],
-    }
-    if record.event_index is not None:
-        row["event_index"] = record.event_index
-    if record.replaced is not None:
-        row["replaced"] = _json_value(record.replaced)
-    return row
+def _write_audit(handle, audit, index: StreamIndex) -> None:
+    """Write one JSON object per audit record, in the keys of docs/audit-format.md.
+
+    A record's readings are written as positions into its source's stream:
+    position p is `index.stream(source_id).readings[p]`. Positions are found
+    by identity, which holds because the index keeps every reading alive for
+    the whole run; a stream's map is built the first time a record needs it.
+    """
+    dumps = json.dumps
+    positions: dict[str, dict[int, int]] = {}
+    for record in audit:
+        source_id = record.source_id
+        at = positions.get(source_id)
+        if at is None:
+            readings = index.stream(source_id).readings
+            at = positions[source_id] = {id(r): p for p, r in enumerate(readings)}
+        line = (
+            f'{{"kind": {dumps(record.kind)}, "case_id": {dumps(record.case_id)}, '
+            f'"binding_id": {dumps(record.binding_id)}, "source_id": {dumps(source_id)}, '
+            f'"key": {dumps(record.key)}, "value": {dumps(_json_value(record.value))}, '
+            f'"readings": [{", ".join([str(at[id(r)]) for r in record.readings])}]'
+        )
+        if record.event_index is not None:
+            line += f', "event_index": {record.event_index}'
+        if record.replaced is not None:
+            line += f', "replaced": {dumps(_json_value(record.replaced))}'
+        handle.write(line + "}\n")
 
 
-def _write_enrichment(result: EnrichmentResult, out_dir: str) -> dict:
+def _write_enrichment(result: EnrichmentResult, index: StreamIndex, out_dir: str) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "enriched.xes"
@@ -156,8 +174,7 @@ def _write_enrichment(result: EnrichmentResult, out_dir: str) -> dict:
     )
     audit_path = out / "audit.jsonl"
     with audit_path.open("w", encoding="utf-8") as handle:
-        for record in result.audit:
-            handle.write(json.dumps(_audit_row(record)) + "\n")
+        _write_audit(handle, result.audit, index)
     return {
         "log": str(log_path),
         "report": str(report_path),
@@ -182,7 +199,7 @@ def cmd_enrich(args) -> int:
     except (CollisionError, DerivationError) as exc:
         _emit({"error": str(exc)}, args.format)
         return EXIT_VALIDATION
-    _emit(_write_enrichment(result, args.out), args.format)
+    _emit(_write_enrichment(result, index, args.out), args.format)
     return EXIT_OK
 
 
@@ -195,8 +212,11 @@ def cmd_query(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.config:
-        raw = json.loads(_read_text(args.config, GenConfigError))
-        config = config_from_dict(raw)
+        raw = _read_json(args.config)
+        try:
+            config = config_from_dict(raw)
+        except GenConfigError as exc:
+            raise InputFileError(f"{args.config}: {exc}") from None
     else:
         config = GenConfig()
     log, streams, manifest = generate(config)
@@ -287,6 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         QueryParseError,
         SensorIngestError,
         GenConfigError,
+        InputFileError,
         FileNotFoundError,
         IsADirectoryError,
         PermissionError,

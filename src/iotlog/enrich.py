@@ -344,6 +344,7 @@ def derive_events(
         rule.correlation, index, rule.source_id, events, trace_attrs, case_id
     )
     derived: list[tuple[Event, SensorReading]] = []
+    marks = (Attribute(DERIVED_FROM_KEY, rule.rule_id),)  # one mark shared by the rule's events
     in_run = False
     for position, reading in enumerate(readings):
         if not _is_number(reading.value):
@@ -358,7 +359,7 @@ def derive_events(
                         Event(
                             activity=rule.activity,
                             timestamp=reading.timestamp,
-                            attributes=(Attribute(DERIVED_FROM_KEY, rule.rule_id),),
+                            attributes=marks,
                         ),
                         reading,
                     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime
@@ -20,6 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .timeutil import parse_timestamp, to_utc, to_utc_ms
+from .xes import _NOT_XML_CHAR, _unwritable
 
 if TYPE_CHECKING:
     from .plan import SourceDecl
@@ -160,9 +160,6 @@ def build_index(streams: Iterable[SensorStream]) -> StreamIndex:
 
 # --- file loading -----------------------------------------------------------
 
-_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-
-
 def _is_json_number(raw) -> bool:
     return isinstance(raw, (int, float)) and not isinstance(raw, bool)
 
@@ -188,8 +185,8 @@ def _parse_value(raw, value_type: str, *, from_json: bool) -> ReadingValue:
         raise ValueError(f"bad boolean literal {raw!r}")
     if from_json and not isinstance(raw, str):
         raise ValueError(f"expected a string, got {raw!r}")
-    if bad := _NOT_XML_CHAR.search(raw):
-        raise ValueError(f"string value holds U+{ord(bad[0]):04X}, which XML 1.0 cannot carry")
+    if not raw.isprintable() and _NOT_XML_CHAR.search(raw):
+        raise _unwritable("string value", raw)
     return raw
 
 

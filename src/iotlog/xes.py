@@ -5,6 +5,9 @@ and all three carry flat typed attributes (string, int, float, boolean,
 date). Instances are immutable after construction and safe to share across
 threads; `parse_xes` (one expat pass, no tree) and `write_xes` are pure
 functions. The model classes have slots, so an instance carries no `__dict__`.
+Constructors reject keys, string values, activities and case ids holding a
+character XML 1.0 cannot carry, so whatever is built can be written and read
+back.
 
 `write_xes` emits one fixed layout in a single pass, without a tree, and is
 deterministic: mandatory fields first (case_id on traces, activity and
@@ -53,6 +56,18 @@ class XesParseError(ValueError):
         self.column = column
 
 
+# Characters XML 1.0 cannot carry, not even as a character reference. A
+# string that str.isprintable() accepts holds none of them, so callers try
+# that first: it is the common case and costs a third of the search.
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _unwritable(field: str, text: str) -> ValueError:
+    """The error for a `text` that _NOT_XML_CHAR matched, naming its field."""
+    bad = _NOT_XML_CHAR.search(text)[0]
+    return ValueError(f"{field} holds U+{ord(bad):04X}, which XML 1.0 cannot carry")
+
+
 def _normalize_value(key: str, value: AttrValue) -> AttrValue:
     if isinstance(value, bool):
         return value
@@ -65,6 +80,8 @@ def _normalize_value(key: str, value: AttrValue) -> AttrValue:
     if isinstance(value, datetime):
         return to_utc_ms(value)
     if isinstance(value, str):
+        if not value.isprintable() and _NOT_XML_CHAR.search(value):
+            raise _unwritable(f"attribute {key!r}: string value", value)
         return value
     raise TypeError(f"attribute {key!r}: unsupported value type {type(value).__name__}")
 
@@ -79,6 +96,8 @@ class Attribute:
     def __post_init__(self) -> None:
         if not self.key:
             raise ValueError("attribute key must be non-empty")
+        if not self.key.isprintable() and _NOT_XML_CHAR.search(self.key):
+            raise _unwritable(f"attribute key {self.key!r}", self.key)
         object.__setattr__(self, "value", _normalize_value(self.key, self.value))
 
 
@@ -106,6 +125,8 @@ class Event:
     def __post_init__(self) -> None:
         if not self.activity:
             raise ValueError("event activity must be non-empty")
+        if not self.activity.isprintable() and _NOT_XML_CHAR.search(self.activity):
+            raise _unwritable(f"event activity {self.activity!r}", self.activity)
         object.__setattr__(self, "timestamp", to_utc_ms(self.timestamp))
         object.__setattr__(self, "attributes", _sorted_attrs(self.attributes))
 
@@ -132,6 +153,8 @@ class Trace:
     def __post_init__(self) -> None:
         if not self.case_id:
             raise ValueError("trace case_id must be non-empty")
+        if not self.case_id.isprintable() and _NOT_XML_CHAR.search(self.case_id):
+            raise _unwritable(f"trace case_id {self.case_id!r}", self.case_id)
         object.__setattr__(self, "attributes", _sorted_attrs(self.attributes))
         object.__setattr__(self, "events", tuple(self.events))
 
@@ -432,45 +455,58 @@ def parse_xes(document: bytes | str) -> Log:
 
 # write_xes emits one fixed layout: the declaration, then <log>, <trace> and
 # <event> indented two spaces per level, and one <tag key=".." value=".." />
-# line per attribute. Attribute text is escaped by _ESCAPES, and characters
-# UTF-8 cannot encode (lone surrogates) become character references.
+# line per attribute. Keys and string values are escaped by _ESCAPES (the
+# text of a number, boolean or date never needs it). The model's constructors
+# keep out lone surrogates, so every string encodes as UTF-8.
 _DECLARATION = "<?xml version='1.0' encoding='UTF-8'?>\n"
 _ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
             "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
 _escape = partial(re.compile(f"[{''.join(_ESCAPES)}]").sub, lambda m: _ESCAPES[m[0]])
 
 
-def _attribute(indent: str, key: str, value: AttrValue) -> str:
-    if isinstance(value, bool):
+def _attribute(indent: str, key: str, value: AttrValue, escaped: dict[str, str]) -> str:
+    """One attribute line; `escaped` maps each key and string value seen so far to its escaped text.
+
+    `re.sub` returns its argument when nothing matches, so the table holds
+    no copy of a string that needs no escaping.
+    """
+    if isinstance(value, str):
+        tag = "string"
+        text = escaped.get(value)
+        if text is None:
+            text = escaped[value] = _escape(value)
+    elif isinstance(value, bool):
         tag, text = "boolean", "true" if value else "false"
     elif isinstance(value, int):
         tag, text = "int", str(value)
     elif isinstance(value, float):
         tag, text = "float", repr(value)
-    elif isinstance(value, datetime):
-        tag, text = "date", format_timestamp(value)
     else:
-        tag, text = "string", value
-    return f'{indent}<{tag} key="{_escape(key)}" value="{_escape(text)}" />'
+        tag, text = "date", format_timestamp(value)
+    name = escaped.get(key)
+    if name is None:
+        name = escaped[key] = _escape(key)
+    return f'{indent}<{tag} key="{name}" value="{text}" />'
 
 
 def write_xes(log: Log) -> bytes:
     """Serialize a valid Log to UTF-8 XES bytes, deterministically."""
     if not log.metadata and not log.traces:
         return (_DECLARATION + '<log xes.version="1.0" />').encode()
+    escaped: dict[str, str] = {}  # each distinct key and string value is escaped once per call
     lines = [_DECLARATION + '<log xes.version="1.0">']
-    lines += [_attribute("  ", a.key, a.value) for a in log.metadata]
+    lines += [_attribute("  ", a.key, a.value, escaped) for a in log.metadata]
     chunks = []  # encoded per trace, so only one trace's line strings are alive at a time
     for trace in log.traces:
-        chunks.append("\n".join(lines).encode("utf-8", "xmlcharrefreplace"))
-        lines = ["  <trace>", _attribute("    ", "case_id", trace.case_id)]
-        lines += [_attribute("    ", a.key, a.value) for a in trace.attributes]
+        chunks.append("\n".join(lines).encode())
+        lines = ["  <trace>", _attribute("    ", "case_id", trace.case_id, escaped)]
+        lines += [_attribute("    ", a.key, a.value, escaped) for a in trace.attributes]
         for event in trace.events:
-            lines += ["    <event>", _attribute("      ", "activity", event.activity)]
-            lines.append(_attribute("      ", "timestamp", event.timestamp))
-            lines += [_attribute("      ", a.key, a.value) for a in event.attributes]
+            lines += ["    <event>", _attribute("      ", "activity", event.activity, escaped)]
+            lines.append(_attribute("      ", "timestamp", event.timestamp, escaped))
+            lines += [_attribute("      ", a.key, a.value, escaped) for a in event.attributes]
             lines.append("    </event>")
         lines.append("  </trace>")
     lines.append("</log>")
-    chunks.append("\n".join(lines).encode("utf-8", "xmlcharrefreplace"))
+    chunks.append("\n".join(lines).encode())
     return b"\n".join(chunks)

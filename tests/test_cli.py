@@ -410,11 +410,45 @@ def test_a_gen_config_byte_that_is_not_utf8_names_the_file_and_line(capsys, tmp_
     assert f"{config}: byte 0xff is not UTF-8 (invalid start byte) (line 2)" in err
 
 
+def test_a_gen_config_that_is_not_json_names_the_file_line_and_column(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": 1,')
+    code, _, err = run(capsys, "gen", "--config", str(config), "--out", str(tmp_path / "d"))
+    assert code == 2
+    assert err == (
+        f"error: {config}: invalid JSON: Expecting property name enclosed in double quotes "
+        "(line 1, column 12)\n"
+    )
+
+
+def test_a_gen_config_that_is_not_an_object_names_the_file(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text("[1]")
+    code, _, err = run(capsys, "gen", "--config", str(config), "--out", str(tmp_path / "d"))
+    assert code == 2
+    assert err == f"error: {config}: config must be a JSON object\n"
+
+
+def test_a_truncated_plan_names_the_file_line_and_column(small_scenario, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(small_scenario, data)
+    body = (data / "plan.json").read_text()
+    (data / "plan.json").write_text(body[: body.index('"bindings"')])
+    line = body[: body.index('"bindings"')].count("\n") + 1
+    code, err = _enrich_scenario(data, tmp_path / "out")
+    assert code == 2
+    assert err.startswith(f"error: {data / 'plan.json'}: invalid JSON: ")
+    assert err.endswith(f"(line {line}, column 3)\n")
+
+
+_SPAN = 2**24  # edit positions are drawn from [0, _SPAN) and scaled to the document
+
+
 def _mutate(data: bytes, edits) -> bytes:
-    """Apply byte deletions, insertions and replacements at fractional positions."""
+    """Apply byte deletions, insertions and replacements at uniformly drawn positions."""
     data = bytearray(data)
     for kind, where, chunk in edits:
-        pos = int(where * (len(data) - 1))
+        pos = where * (len(data) + 1) // _SPAN
         if kind == "delete":
             del data[pos : pos + len(chunk)]
         elif kind == "insert":
@@ -427,7 +461,10 @@ def _mutate(data: bytes, edits) -> bytes:
 _EDITS = st.lists(
     st.tuples(
         st.sampled_from(["delete", "insert", "replace"]),
-        st.floats(0, 1),  # where, as a fraction of the document's length
+        # Where: three random bytes give a uniform integer. Hypothesis's own
+        # integers and floats favour small values, which piles edits onto
+        # the first bytes of a file.
+        st.binary(min_size=3, max_size=3).map(lambda b: int.from_bytes(b, "big")),
         st.one_of(  # any bytes, or characters that keep a value plausible
             st.binary(min_size=1, max_size=3),
             st.text("0123456789.-+eE:TZ ", min_size=1, max_size=3).map(str.encode),

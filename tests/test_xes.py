@@ -269,11 +269,18 @@ def _reference_write_xes(log: Log) -> bytes:
     return ET.tostring(root, encoding="UTF-8", xml_declaration=True)
 
 
-# Every Unicode category, Cc (control) and Cs (lone surrogates) included,
-# plus a dense mix of the characters the escape table handles.
+def is_xml_char(c: str) -> bool:
+    """XML 1.0's Char production."""
+    o = ord(c)
+    return o in (0x9, 0xA, 0xD) or 0x20 <= o <= 0xD7FF or 0xE000 <= o <= 0xFFFD or o >= 0x10000
+
+
+# Every Unicode category, controls XML 1.0 allows included, plus a dense mix
+# of the characters the escape table handles. The model rejects the
+# characters XML 1.0 cannot carry (test_text_built_through_the_api_...).
 any_texts = st.one_of(
-    st.text(st.characters(exclude_categories=()), max_size=12),
-    st.text(st.sampled_from("&<>\"'\r\n\t\x00\x0b\x85\ud800\udfff\ufffe\U0001f600 a"), max_size=8),
+    st.text(st.characters(exclude_categories=()).filter(is_xml_char), max_size=12),
+    st.text(st.sampled_from("&<>\"'\r\n\t\x7f\x85\U0001f600 a"), max_size=8),
 )
 nonempty_texts = any_texts.filter(bool)
 any_values = st.one_of(
@@ -315,11 +322,58 @@ def test_write_matches_the_elementtree_writer_byte_for_byte(log):
 def test_write_pins_the_empty_log_and_the_escape_table():
     declaration = b"<?xml version='1.0' encoding='UTF-8'?>\n"
     assert write_xes(Log()) == declaration + b'<log xes.version="1.0" />'
-    text = write_xes(Log(metadata=(Attribute('k&<>"', "\r\n\t'\ud800"),))).decode()
+    text = write_xes(Log(metadata=(Attribute('k&<>"', "\r\n\t'"),))).decode()
     assert text.splitlines()[2:] == [
-        '  <string key="k&amp;&lt;&gt;&quot;" value="&#13;&#10;&#09;\'&#55296;" />',
+        '  <string key="k&amp;&lt;&gt;&quot;" value="&#13;&#10;&#09;\'" />',
         "</log>",
     ]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Trace("c\x01"), "trace case_id 'c\\x01' holds U+0001"),
+        (lambda: Event("a\x02", at(0)), "event activity 'a\\x02' holds U+0002"),
+        (lambda: Attribute("k", "v\x0b"), "attribute 'k': string value holds U+000B"),
+        (lambda: Attribute("k\ud800", 1), "attribute key 'k\\ud800' holds U+D800"),
+        (lambda: Attribute("k", "\uffff"), "attribute 'k': string value holds U+FFFF"),
+    ],
+    ids=["case_id", "activity", "value", "key", "noncharacter"],
+)
+def test_text_xml_cannot_carry_is_rejected_naming_the_field(build, message):
+    with pytest.raises(ValueError, match=re.escape(message + ", which XML 1.0 cannot carry")):
+        build()
+
+
+# Any text, the characters XML 1.0 cannot carry among them.
+raw_texts = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=8),
+    st.text(st.sampled_from("\x00\x01\x0b\x1f\ud800\udfff\ufffe\uffff&<\r\t a\U0001f600"), max_size=6),
+)
+
+
+@given(case_id=raw_texts, activity=raw_texts, key=raw_texts, value=raw_texts)
+@example(case_id="c\x01", activity="a", key="k", value="v")
+@example(case_id="c", activity="a\x02", key="k", value="v")
+@example(case_id="c", activity="a", key="k", value="v\x0b")
+@example(case_id="c", activity="a", key="case_id", value="c")
+def test_text_built_through_the_api_is_rejected_or_survives_a_round_trip(
+    case_id, activity, key, value
+):
+    texts = (case_id, activity, key, value)
+    unwritable = any(not is_xml_char(c) for text in texts for c in text)
+    try:
+        attrs = (Attribute(key, value), Attribute(key + "_n", 1))
+        log = Log(
+            traces=(Trace(case_id, attrs, (Event(activity, at(0), attrs),)),),
+            metadata=attrs,
+        )
+    except ValueError as exc:
+        assert unwritable or "" in (case_id, activity, key), exc
+        assert "XML 1.0 cannot carry" in str(exc) or "non-empty" in str(exc)
+        return
+    assert not unwritable
+    assert parse_xes(write_xes(log)) == log
 
 
 # --- validate_log -----------------------------------------------------------
