@@ -13,30 +13,78 @@ import argparse
 import json
 import sys
 from datetime import datetime
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .enrich import (
-    CollisionError,
-    DerivationError,
-    EnrichmentResult,
-    InvalidLogError,
-    InvalidPlanError,
-    enrich,
-)
-from .plan import (
-    EnrichmentPlan,
-    PlanParseError,
-    bundled_plan,
-    bundled_plan_names,
-    classify_source,
-    parse_plan,
-    validate_plan,
-)
 from .query import QueryParseError, parse_query, run_query
-from .scenario import GenConfig, GenConfigError, config_from_dict, generate, write_outputs
-from .sensors import SensorIngestError, StreamIndex, _utf8_fault, build_index, load_stream
 from .timeutil import format_timestamp
 from .xes import Log, XesParseError, parse_xes, validate_log, write_xes
+
+if TYPE_CHECKING:
+    from .enrich import (
+        CollisionError,
+        DerivationError,
+        EnrichmentResult,
+        InvalidLogError,
+        InvalidPlanError,
+        enrich,
+    )
+    from .plan import (
+        EnrichmentPlan,
+        PlanParseError,
+        bundled_plan,
+        bundled_plan_names,
+        classify_source,
+        parse_plan,
+        validate_plan,
+    )
+    from .scenario import GenConfig, GenConfigError, config_from_dict, generate, write_outputs
+    from .sensors import SensorIngestError, StreamIndex, _utf8_fault, build_index, load_stream
+
+# The names that only some commands use, by the module that defines them.
+# Each subcommand declares the modules it runs (`needs` in `build_parser`),
+# and `main` binds their names here before the command starts, so
+# `iotlog query` imports only query, xes and timeutil. Read from outside, as
+# `iotlog.cli.enrich`, a name binds itself through `__getattr__`.
+_DEFERRED = {
+    "enrich": (
+        "CollisionError",
+        "DerivationError",
+        "InvalidLogError",
+        "InvalidPlanError",
+        "enrich",
+    ),
+    "plan": (
+        "PlanParseError",
+        "bundled_plan",
+        "bundled_plan_names",
+        "classify_source",
+        "parse_plan",
+        "validate_plan",
+    ),
+    "scenario": ("GenConfig", "GenConfigError", "config_from_dict", "generate", "write_outputs"),
+    "sensors": ("SensorIngestError", "_utf8_fault", "build_index", "load_stream"),
+}
+_MODULE_OF = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def _need(*modules: str) -> None:
+    """Bind the deferred names of `modules` here, keeping a name already bound (a wrapper, say)."""
+    namespace = globals()
+    for module in modules:
+        source = import_module(f".{module}", __package__)
+        for name in _DEFERRED[module]:
+            namespace.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _need(module)
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -204,8 +252,9 @@ def cmd_enrich(args) -> int:
 
 
 def cmd_query(args) -> int:
-    log = _read_log(args.log)
-    result = run_query(log, parse_query(args.query))
+    query = parse_query(args.query)
+    log = parse_xes(Path(args.log).read_bytes(), keep=query.keys)
+    result = run_query(log, query)
     _emit({"query": args.query, **result.to_dict()}, args.format)
     return EXIT_OK
 
@@ -270,28 +319,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a log and/or plan, print violations")
     p.add_argument("--log", help="XES log path")
     p.add_argument("--plan", help="plan JSON path or bundled plan name")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, needs=("plan", "sensors"))
 
     p = sub.add_parser("enrich", help="run a plan over a log and sensor files")
     p.add_argument("--log", required=True, help="XES log path")
     p.add_argument("--plan", required=True, help="plan JSON path or bundled plan name")
     p.add_argument("--sensors", required=True, help="directory holding the sensor files")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_enrich)
+    p.set_defaults(func=cmd_enrich, needs=("enrich", "plan", "sensors"))
 
     p = sub.add_parser("query", help="evaluate a query over a log")
     p.add_argument("--log", required=True, help="XES log path")
     p.add_argument("--query", required=True, help="query text")
-    p.set_defaults(func=cmd_query)
+    p.set_defaults(func=cmd_query, needs=())
 
     p = sub.add_parser("gen", help="generate a synthetic scenario")
     p.add_argument("--config", help="generator config JSON path")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, needs=("scenario", "sensors"))
 
     p = sub.add_parser("classify", help="suggest context categories for sensor files")
     p.add_argument("--sensors", required=True, help="directory holding the sensor files")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, needs=("plan",))
 
     return parser
 
@@ -300,23 +349,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _need(*args.needs)
         return args.func(args)
-    except (
-        XesParseError,
-        PlanParseError,
-        QueryParseError,
-        SensorIngestError,
-        GenConfigError,
-        InputFileError,
-        FileNotFoundError,
-        IsADirectoryError,
-        PermissionError,
-        json.JSONDecodeError,
-        UnicodeDecodeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - last-resort guard for exit code 3
+        # A deferred module's error can only have been raised if the command
+        # needed that module, and then its class is bound here.
+        bound = globals()
+        deferred = ("PlanParseError", "SensorIngestError", "GenConfigError")
+        input_errors = (
+            *(bound[name] for name in deferred if name in bound),
+            XesParseError,
+            QueryParseError,
+            InputFileError,
+            FileNotFoundError,
+            IsADirectoryError,
+            PermissionError,
+            json.JSONDecodeError,
+            UnicodeDecodeError,
+        )
+        if isinstance(exc, input_errors):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -8,15 +8,16 @@
     op     := "=" | "!=" | "<" | "<=" | ">" | ">="
 
 STRING is double-quoted, TIME is HH:MM, literals are strings, numbers or
-true/false. Filters select whole traces: `has activity` asks for at least
-one event with that activity, `event.` for at least one event whose
-attribute satisfies the comparison, `on` for the same restricted to events
-of one activity, and `case.` compares a trace attribute. `start_hour`
-checks the time of day of the trace's first event against a half-open
-interval that may wrap past midnight. A type-mismatched comparison excludes
-the trace and reports an error instead of failing the whole query; the
-event-scoped filters compare every candidate event, so one mismatching
-event excludes the trace even when another event matched.
+true/false; numbers and times take ASCII digits only. Filters select whole
+traces: `has activity` asks for at least one event with that activity,
+`event.` for at least one event whose attribute satisfies the comparison,
+`on` for the same restricted to events of one activity, and `case.`
+compares a trace attribute. `start_hour` checks the time of day of the
+trace's first event against a half-open interval that may wrap past
+midnight. A type-mismatched comparison excludes the trace and reports an
+error instead of failing the whole query; the event-scoped filters compare
+every candidate event, so one mismatching event excludes the trace even
+when another event matched.
 """
 
 from __future__ import annotations
@@ -150,6 +151,17 @@ class Query:
     mode: str  # "count" | "cases"
     filters: tuple[Filter, ...] = ()
 
+    @property
+    def keys(self) -> frozenset[str]:
+        """The attribute keys the filters read (`case.k`, `event.k`, `on "A": k`).
+
+        Besides these, a query reads only case ids, activities and
+        timestamps, so `parse_xes(document, keep=query.keys)` builds all it needs.
+        """
+        return frozenset(
+            f.key for f in self.filters if isinstance(f, (AttributeCompare, OnActivityCompare))
+        )
+
 
 # --- tokenizer ---------------------------------------------------------------
 
@@ -157,8 +169,8 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<time>\d{1,2}:\d{2})
-  | (?P<number>-?\d+(?:\.\d+)?)
+  | (?P<time>[0-9]{1,2}:[0-9]{2})
+  | (?P<number>-?[0-9]+(?:\.[0-9]+)?)
   | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op><=|>=|!=|=|<|>)
   | (?P<punct>[.,\[\):])

@@ -7,7 +7,8 @@ threads; `parse_xes` (one expat pass, no tree) and `write_xes` are pure
 functions. The model classes have slots, so an instance carries no `__dict__`.
 Constructors reject keys, string values, activities and case ids holding a
 character XML 1.0 cannot carry, so whatever is built can be written and read
-back.
+back. `parse_xes` checks what it reads itself and builds attributes and
+events without those checks, which parsed text always passes.
 
 `write_xes` emits one fixed layout in a single pass, without a tree, and is
 deterministic: mandatory fields first (case_id on traces, activity and
@@ -19,6 +20,7 @@ that round-trips binary64. Equal logs serialize to identical bytes.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
@@ -42,6 +44,7 @@ DUPLICATE_ATTRIBUTE_KEY = "duplicate_attribute_key"
 _CASE_ID_KEYS = ("case_id", "concept:name")
 _ACTIVITY_KEYS = ("activity", "concept:name")
 _TIMESTAMP_KEYS = ("timestamp", "time:timestamp")
+_MANDATORY_KEYS = frozenset(_CASE_ID_KEYS + _ACTIVITY_KEYS + _TIMESTAMP_KEYS)
 
 
 class XesParseError(ValueError):
@@ -66,6 +69,9 @@ def _unwritable(field: str, text: str) -> ValueError:
     """The error for a `text` that _NOT_XML_CHAR matched, naming its field."""
     bad = _NOT_XML_CHAR.search(text)[0]
     return ValueError(f"{field} holds U+{ord(bad):04X}, which XML 1.0 cannot carry")
+
+
+_EMPTY_KEY = "attribute key must be non-empty"
 
 
 def _normalize_value(key: str, value: AttrValue) -> AttrValue:
@@ -95,7 +101,7 @@ class Attribute:
 
     def __post_init__(self) -> None:
         if not self.key:
-            raise ValueError("attribute key must be non-empty")
+            raise ValueError(_EMPTY_KEY)
         if not self.key.isprintable() and _NOT_XML_CHAR.search(self.key):
             raise _unwritable(f"attribute key {self.key!r}", self.key)
         object.__setattr__(self, "value", _normalize_value(self.key, self.value))
@@ -104,7 +110,10 @@ class Attribute:
 def _sorted_attrs(attributes) -> tuple[Attribute, ...]:
     # Stable sort: duplicate keys keep their input order so validate_log can
     # still see and report them.
-    return tuple(sorted(attributes, key=lambda a: a.key))
+    return tuple(sorted(attributes, key=_key))
+
+
+_key = attrgetter("key")
 
 
 def _get(attributes: tuple[Attribute, ...], key: str) -> AttrValue | None:
@@ -169,6 +178,32 @@ class Trace:
         if not self.events:
             return None
         return self.events[0].timestamp, self.events[-1].timestamp
+
+
+# The reader builds attributes and events through these, not through their
+# constructors, whose checks parsed text always passes: the reader refuses
+# an empty key or activity and an int outside 64 bits, expat every
+# character XML 1.0 cannot carry, and `parse_timestamp` returns normal
+# timestamps.
+_new = object.__new__
+_set_key, _set_value = Attribute.key.__set__, Attribute.value.__set__
+_set_activity, _set_timestamp = Event.activity.__set__, Event.timestamp.__set__
+_set_attributes = Event.attributes.__set__
+
+
+def _parsed_attribute(key: str, value: AttrValue) -> Attribute:
+    attribute = _new(Attribute)
+    _set_key(attribute, key)
+    _set_value(attribute, value)
+    return attribute
+
+
+def _parsed_event(activity: str, timestamp: datetime, attributes: list[Attribute]) -> Event:
+    event = _new(Event)
+    _set_activity(event, activity)
+    _set_timestamp(event, timestamp)
+    _set_attributes(event, _sorted_attrs(attributes))
+    return event
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,13 +299,15 @@ def _duplicate_key_violations(attributes, case_id, trace_index, event_index):
 # --- parsing ---------------------------------------------------------------
 
 
-def _parse_attribute(tag: str, attrs: dict[str, str], share) -> Attribute:
+def _parse_attribute(tag: str, attrs: dict[str, str], share, keep) -> Attribute | None:
     """One flat attribute from an element's local tag name and XML attributes.
 
     `share` is the `setdefault` of one dict per parse: the key and a string
     value come back as the document's first equal string, so repeated keys,
-    activities and values are held once. Raises XesParseError without a
-    location; the reader adds where and line.
+    activities and values are held once. When `keep` is a set that lacks the
+    key, the attribute gets the same checks but is not built, and None comes
+    back. Raises XesParseError without a location; the reader adds where and
+    line.
     """
     key = attrs.get("key")
     raw = attrs.get("value")
@@ -281,26 +318,35 @@ def _parse_attribute(tag: str, attrs: dict[str, str], share) -> Attribute:
         )
     if key is None or raw is None:
         raise XesParseError(f"attribute element <{tag}> needs key and value")
-    key = share(key, key)
+    if tag not in _VALUE_TAGS:
+        raise XesParseError(f"unknown attribute type tag <{tag}>")
     try:
         if tag == "string":
-            return Attribute(key, share(raw, raw))
-        if tag == "int":
-            return Attribute(key, int(raw))
-        if tag == "float":
-            return Attribute(key, float(raw))
-        if tag == "boolean":
+            value = raw
+        elif tag == "int":
+            value = int(raw)
+        elif tag == "float":
+            value = float(raw)
+        elif tag == "boolean":
             lowered = raw.strip().lower()
             if lowered not in ("true", "false"):
                 raise ValueError(f"bad boolean literal {raw!r}")
-            return Attribute(key, lowered == "true")
-        if tag == "date":
-            return Attribute(key, parse_timestamp(raw))
+            value = lowered == "true"
+        else:
+            value = parse_timestamp(raw)
+        # The checks of Attribute that parsed text can fail, in its order.
+        if not key:
+            raise ValueError(_EMPTY_KEY)
+        if tag == "int":
+            _normalize_value(key, value)
     except ValueError as exc:
         raise XesParseError(f"attribute {key!r}: {exc}") from exc
-    raise XesParseError(f"unknown attribute type tag <{tag}>")
+    if keep is not None and key not in keep:
+        return None
+    return _parsed_attribute(share(key, key), share(raw, raw) if tag == "string" else value)
 
 
+_VALUE_TAGS = {"string", "int", "float", "boolean", "date"}
 _STRUCTURAL_TAGS = {"extension", "global", "classifier"}
 _timestamp = attrgetter("timestamp")
 
@@ -314,7 +360,7 @@ def _take(attributes: list[Attribute], keys: tuple[str, ...]) -> AttrValue | Non
     return None
 
 
-def parse_xes(document: bytes | str) -> Log:
+def parse_xes(document: bytes | str, keep: Iterable[str] | None = None) -> Log:
     """Parse an XES document into a Log, in one expat pass.
 
     The mandatory fields are read from `case_id`/`activity`/`timestamp`
@@ -324,11 +370,19 @@ def parse_xes(document: bytes | str) -> Log:
     global, and classifier declarations, the children of attribute elements,
     text, comments and processing instructions are skipped.
 
+    With `keep`, a set of keys, only attributes with one of those keys or a
+    mandatory field's key (or alias) are built, at every scope; the others
+    are left out of the Log. Every attribute is still checked, so a document
+    parses or fails alike with or without `keep`. A query needs only the
+    keys it reads (`Query.keys`), so its answer does not change either.
+
     A document that is not well-formed XML fails with its line and column,
     even when a semantic error (a missing field, a bad value, a duplicate
     case id, a wrong root) comes before the syntax error; otherwise the first
     semantic error fails with the line of the element it concerns.
     """
+    if keep is not None:
+        keep = _MANDATORY_KEYS.union(keep)
     parser = expat.ParserCreate(None, "}")  # a namespaced name arrives as "uri}local"
     metadata: list[Attribute] = []
     traces: list[Trace] = []
@@ -355,26 +409,33 @@ def parse_xes(document: bytes | str) -> Log:
         nonlocal depth, in_trace, in_event, trace_line, event_line
         depth += 1
         tag = name[name.rfind("}") + 1 :]
+        into = None  # the list an attribute element at this place goes into
+        if depth == 4:
+            if in_event:
+                into = event_attrs
+        elif depth == 3:
+            if in_trace:
+                if tag == "event":
+                    in_event, event_line = True, parser.CurrentLineNumber
+                else:
+                    into = trace_attrs
+        elif depth == 2:
+            if tag == "trace":
+                in_trace, trace_line = True, parser.CurrentLineNumber
+            elif tag not in _STRUCTURAL_TAGS:
+                into = metadata
+        elif depth == 1 and tag != "log":
+            fail(f"expected <log> root element, found <{tag}>", parser.CurrentLineNumber)
+        if into is None:
+            return
         try:
-            if depth == 4:
-                if in_event:
-                    event_attrs.append(_parse_attribute(tag, attrs, share))
-            elif depth == 3:
-                if in_trace:
-                    if tag == "event":
-                        in_event, event_line = True, parser.CurrentLineNumber
-                    else:
-                        trace_attrs.append(_parse_attribute(tag, attrs, share))
-            elif depth == 2:
-                if tag == "trace":
-                    in_trace, trace_line = True, parser.CurrentLineNumber
-                elif tag not in _STRUCTURAL_TAGS:
-                    metadata.append(_parse_attribute(tag, attrs, share))
-            elif depth == 1 and tag != "log":
-                fail(f"expected <log> root element, found <{tag}>", parser.CurrentLineNumber)
+            attribute = _parse_attribute(tag, attrs, share, keep)
         except XesParseError as exc:
             where = ("log", f"trace {len(traces)}", f"trace {len(traces)}, event {len(events)}")
             fail(f"{where[depth - 2]}: {exc}", parser.CurrentLineNumber)
+            return
+        if attribute is not None:
+            into.append(attribute)
 
     def end(name: str) -> None:
         nonlocal depth, in_trace, in_event
@@ -395,7 +456,7 @@ def parse_xes(document: bytes | str) -> Log:
         elif timestamp is None or not isinstance(timestamp, datetime):
             fail(f"{where}: missing mandatory timestamp", event_line)
         else:
-            events.append(Event(activity, timestamp, tuple(event_attrs)))
+            events.append(_parsed_event(activity, timestamp, event_attrs))
         event_attrs.clear()
 
     def end_trace() -> None:

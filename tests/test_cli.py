@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from iotlog.cli import main
 from iotlog.plan import bundled_plan
-from iotlog.xes import Attribute, Trace, parse_xes, write_xes
+from iotlog.query import QueryParseError, run_query
+from iotlog.xes import Attribute, Trace, XesParseError, parse_xes, write_xes
 
 from conftest import FIXTURES, at, ev, mklog
 
@@ -553,15 +554,61 @@ _QUERY = (
 )
 
 
+def _query_cli(path, query: str) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["query", "--log", str(path), "--query", query])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 @settings(max_examples=60, deadline=None)
 @given(edits=_EDITS)
 def test_a_mutated_log_is_answered_or_rejected_never_an_internal_error(small_log, edits):
     data, path = small_log
-    path.write_bytes(_mutate(data, edits))
-    stderr = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        code = main(["query", "--log", str(path), "--query", _QUERY])
-    assert code in (0, 2), stderr.getvalue()
+    mutated = _mutate(data, edits)
+    path.write_bytes(mutated)
+    code, out, err = _query_cli(path, _QUERY)
+    assert code in (0, 2), err
+    # The CLI builds only the keys the query reads; the answer is the full parse's.
+    try:
+        expected = {"query": _QUERY, **run_query(parse_xes(mutated), _QUERY).to_dict()}
+    except XesParseError as exc:
+        assert (code, err) == (2, f"error: {exc}\n")
+    else:
+        assert (code, json.loads(out)) == (0, expected)
+
+
+# Pieces of query text an edit may insert: keywords, punctuation, non-ASCII digits.
+_QUERY_PIECES = ["where", " and ", "case.", "event.", 'on "load in truck": ', "has activity",
+                 "start_hour in", "[", ")", ",", ":", '"', "\\", "=", "<=", "!=", "1.5", "-",
+                 "true", "22:00", "\u0662", "\uff15", "x"]
+_QUERY_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["delete", "insert", "replace"]),
+        st.binary(min_size=3, max_size=3).map(lambda b: int.from_bytes(b, "big")),
+        st.one_of(st.binary(min_size=1, max_size=3),
+                  st.sampled_from(_QUERY_PIECES).map(str.encode)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=_QUERY_EDITS)
+def test_a_mutated_query_is_answered_or_rejected_never_an_internal_error(small_log, edits):
+    data, path = small_log
+    path.write_bytes(data)
+    # A command line that is not UTF-8 reaches Python as surrogate escapes.
+    query = _mutate(_QUERY.encode(), edits).decode("utf-8", "surrogateescape")
+    code, out, err = _query_cli(path, query)
+    assert code in (0, 2) and "internal error" not in err, err
+    try:
+        expected = {"query": query, **run_query(parse_xes(data), query).to_dict()}
+    except QueryParseError as exc:
+        assert (code, err) == (2, f"error: {exc}\n")
+    else:
+        assert (code, json.loads(out)) == (0, expected)
 
 
 # --- classify -----------------------------------------------------------------

@@ -93,6 +93,30 @@ def test_unexpected_character_is_rejected():
         parse_query('count where has activity "unterminated')
 
 
+@pytest.mark.parametrize(
+    "text,column",
+    [
+        ("count where start_hour in [\u0662\u0662:\u0660\u0660, 06:00)", 28),  # Arabic-Indic
+        ("count where start_hour in [22:00, 0\u0666:00)", 36),
+        ("count where case.x = \u0661\u0662\u0663", 22),
+        ("count where case.x = 1.\uff15", 24),  # a fullwidth 5 after "1."
+    ],
+)
+def test_numbers_and_times_take_ascii_digits_only(text, column):
+    with pytest.raises(QueryParseError) as err:
+        parse_query(text)
+    assert err.value.column == column
+
+
+def test_keys_name_what_the_filters_read():
+    query = parse_query(
+        'count where case.a = 1 and event.b > 2 and on "X": c != "y" and case.a < 5 '
+        'and has activity "d" and start_hour in [22:00, 06:00)'
+    )
+    assert query.keys == {"a", "b", "c"}
+    assert parse_query("cases").keys == frozenset()
+
+
 # --- evaluation semantics --------------------------------------------------------
 
 
@@ -321,24 +345,24 @@ literals = st.one_of(
 times = st.tuples(st.integers(0, 23), st.sampled_from([0, 15, 30, 45])).map(
     lambda hm: time(hm[0], hm[1])
 )
-filters = st.one_of(
-    st.builds(HasActivity, st.sampled_from(ACTIVITIES)),
-    st.builds(
-        AttributeCompare,
-        st.sampled_from(["case", "event"]),
-        st.sampled_from(["p", "q", "label", "ok"]),
-        ops,
-        literals,
-    ),
-    st.builds(
-        OnActivityCompare,
-        st.sampled_from(ACTIVITIES),
-        st.sampled_from(["p", "q", "label", "ok"]),
-        ops,
-        literals,
-    ),
-    st.builds(StartTimeOfDayIn, times, times),
-)
+
+
+def queries_over(keys, activities=ACTIVITIES):
+    """Queries of up to three filters that read `keys` and ask for `activities`."""
+    filters = st.one_of(
+        st.builds(HasActivity, st.sampled_from(activities)),
+        st.builds(
+            AttributeCompare, st.sampled_from(["case", "event"]), st.sampled_from(keys), ops, literals
+        ),
+        st.builds(
+            OnActivityCompare, st.sampled_from(activities), st.sampled_from(keys), ops, literals
+        ),
+        st.builds(StartTimeOfDayIn, times, times),
+    )
+    return st.builds(
+        Query, st.sampled_from(["count", "cases"]), st.lists(filters, max_size=3).map(tuple)
+    )
+
 
 
 def build_trace(index_attrs_events):
@@ -359,9 +383,7 @@ trace_bodies = st.tuples(
 query_logs = st.lists(trace_bodies, max_size=6).map(
     lambda bodies: mklog(*(build_trace((i, a, e)) for i, (_, a, e) in enumerate(bodies)))
 )
-queries = st.builds(
-    Query, st.sampled_from(["count", "cases"]), st.lists(filters, max_size=3).map(tuple)
-)
+queries = queries_over(["p", "q", "label", "ok"])
 
 
 @given(query_logs, queries)

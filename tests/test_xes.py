@@ -345,6 +345,20 @@ def test_text_xml_cannot_carry_is_rejected_naming_the_field(build, message):
         build()
 
 
+def test_the_reader_refuses_every_character_xml_cannot_carry():
+    # parse_xes builds attributes and events without re-checking their text.
+    outside = [c for c in map(chr, range(0x10000)) if not is_xml_char(c)]
+    assert len(outside) == 2079
+    for c in outside:
+        for document in (
+            f'<log><string key="k" value="{c}"/></log>',
+            f'<log><string key="k" value="&#{ord(c)};"/></log>',
+            f'<log><string key="&#x{ord(c):x};" value="v"/></log>',
+        ):
+            with pytest.raises(ValueError):  # an XesParseError, or a str that is not UTF-8
+                parse_xes(document)
+
+
 # Any text, the characters XML 1.0 cannot carry among them.
 raw_texts = st.one_of(
     st.text(st.characters(exclude_categories=()), max_size=8),
@@ -734,6 +748,11 @@ def xes_documents(draw):
 @example(UNDEFINED_ENTITY)
 @example('<log><trace><string key="case_id" value=""/></trace></log>')
 @example("<log><trace/></log")
+@example(  # an event's attributes come out sorted by key, duplicates in document order
+    '<log><trace><string key="case_id" value="c"/><event><int key="m" value="1"/>'
+    '<string key="k" value="2"/><string key="activity" value="a"/><string key="k" value="1"/>'
+    '<date key="timestamp" value="2024-01-01"/></event></trace></log>'
+)
 @example(
     '<log><global><int key="g" value="x"/></global><trace><string key="case_id" value="c">'
     '<event/></string><event><string key="activity" value="a"><string key="k" value="v"/>'
