@@ -10,6 +10,7 @@ humans. Exit codes: 0 success, 1 validation failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from datetime import datetime
@@ -17,7 +18,6 @@ from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .query import QueryParseError, parse_query, run_query
 from .timeutil import format_timestamp
 from .xes import Log, XesParseError, parse_xes, validate_log, write_xes
 
@@ -39,14 +39,16 @@ if TYPE_CHECKING:
         parse_plan,
         validate_plan,
     )
+    from .query import QueryParseError, parse_query, run_query
     from .scenario import GenConfig, GenConfigError, config_from_dict, generate, write_outputs
     from .sensors import SensorIngestError, StreamIndex, _utf8_fault, build_index, load_stream
 
 # The names that only some commands use, by the module that defines them.
 # Each subcommand declares the modules it runs (`needs` in `build_parser`),
-# and `main` binds their names here before the command starts, so
-# `iotlog query` imports only query, xes and timeutil. Read from outside, as
-# `iotlog.cli.enrich`, a name binds itself through `__getattr__`.
+# and `main` binds their names here before the command starts, so `iotlog
+# query` imports only query, xes and timeutil, and `iotlog enrich` does not
+# import query. Read from outside, as `iotlog.cli.enrich`, a name binds
+# itself through `__getattr__`.
 _DEFERRED = {
     "enrich": (
         "CollisionError",
@@ -63,6 +65,7 @@ _DEFERRED = {
         "parse_plan",
         "validate_plan",
     ),
+    "query": ("QueryParseError", "parse_query", "run_query"),
     "scenario": ("GenConfig", "GenConfigError", "config_from_dict", "generate", "write_outputs"),
     "sensors": ("SensorIngestError", "_utf8_fault", "build_index", "load_stream"),
 }
@@ -182,6 +185,14 @@ def cmd_validate(args) -> int:
     return EXIT_VALIDATION if rows else EXIT_OK
 
 
+class _Encoded(dict):
+    """The JSON text of each string looked up in it, encoded the first time."""
+
+    def __missing__(self, text: str) -> str:
+        encoded = self[text] = json.dumps(text)
+        return encoded
+
+
 def _write_audit(handle, audit, index: StreamIndex) -> None:
     """Write one JSON object per audit record, in the keys of docs/audit-format.md.
 
@@ -189,8 +200,11 @@ def _write_audit(handle, audit, index: StreamIndex) -> None:
     position p is `index.stream(source_id).readings[p]`. Positions are found
     by identity, which holds because the index keeps every reading alive for
     the whole run; a stream's map is built the first time a record needs it.
+    Each distinct kind, case id, binding id, source id, key and string value
+    is encoded once per call.
     """
     dumps = json.dumps
+    text = _Encoded()
     positions: dict[str, dict[int, int]] = {}
     for record in audit:
         source_id = record.source_id
@@ -198,10 +212,12 @@ def _write_audit(handle, audit, index: StreamIndex) -> None:
         if at is None:
             readings = index.stream(source_id).readings
             at = positions[source_id] = {id(r): p for p, r in enumerate(readings)}
+        value = record.value
+        value = text[value] if type(value) is str else dumps(_json_value(value))
         line = (
-            f'{{"kind": {dumps(record.kind)}, "case_id": {dumps(record.case_id)}, '
-            f'"binding_id": {dumps(record.binding_id)}, "source_id": {dumps(source_id)}, '
-            f'"key": {dumps(record.key)}, "value": {dumps(_json_value(record.value))}, '
+            f'{{"kind": {text[record.kind]}, "case_id": {text[record.case_id]}, '
+            f'"binding_id": {text[record.binding_id]}, "source_id": {text[source_id]}, '
+            f'"key": {text[record.key]}, "value": {value}, '
             f'"readings": [{", ".join([str(at[id(r)]) for r in record.readings])}]'
         )
         if record.event_index is not None:
@@ -331,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="evaluate a query over a log")
     p.add_argument("--log", required=True, help="XES log path")
     p.add_argument("--query", required=True, help="query text")
-    p.set_defaults(func=cmd_query, needs=())
+    p.set_defaults(func=cmd_query, needs=("query",))
 
     p = sub.add_parser("gen", help="generate a synthetic scenario")
     p.add_argument("--config", help="generator config JSON path")
@@ -346,6 +362,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its exit code.
+
+    The cyclic garbage collector is paused while the command runs and
+    restored on return, also when argparse exits. A command builds its
+    inputs, which live until it ends, and leaves no cycles whose size grows
+    with them, so a collection would only walk live objects.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -355,11 +388,10 @@ def main(argv: list[str] | None = None) -> int:
         # A deferred module's error can only have been raised if the command
         # needed that module, and then its class is bound here.
         bound = globals()
-        deferred = ("PlanParseError", "SensorIngestError", "GenConfigError")
+        deferred = ("PlanParseError", "SensorIngestError", "GenConfigError", "QueryParseError")
         input_errors = (
             *(bound[name] for name in deferred if name in bound),
             XesParseError,
-            QueryParseError,
             InputFileError,
             FileNotFoundError,
             IsADirectoryError,

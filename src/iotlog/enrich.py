@@ -32,7 +32,21 @@ from .plan import (
     validate_plan,
 )
 from .sensors import SensorReading, StreamIndex
-from .xes import Attribute, AttrValue, Event, Log, Trace, Violation, validate_log
+from .xes import (
+    Attribute,
+    AttrValue,
+    Event,
+    Log,
+    Trace,
+    Violation,
+    _normalize_value,
+    _parsed_attribute,
+    _parsed_event,
+    _parsed_trace,
+    _unwritable,
+    _writable,
+    validate_log,
+)
 
 
 class EnrichmentError(Exception):
@@ -339,12 +353,19 @@ def derive_events(
     keeps a high-frequency sensor from flooding the trace. Each event
     carries a derived_from attribute naming the rule, which is also what
     lets re-enrichment recognise it as already present.
+
+    The rule's id and activity are checked once per call, and its events are
+    then built without the checks of Event, which they pass: a reading's
+    timestamp is normal.
     """
     readings, warning = correlate_trace(
         rule.correlation, index, rule.source_id, events, trace_attrs, case_id
     )
     derived: list[tuple[Event, SensorReading]] = []
     marks = (Attribute(DERIVED_FROM_KEY, rule.rule_id),)  # one mark shared by the rule's events
+    activity = rule.activity
+    if not _writable(activity):
+        raise _unwritable(f"event activity {activity!r}", activity)
     in_run = False
     for position, reading in enumerate(readings):
         if not _is_number(reading.value):
@@ -354,16 +375,7 @@ def derive_events(
         if rule.condition.holds(float(reading.value)):
             if not in_run:
                 in_run = True
-                derived.append(
-                    (
-                        Event(
-                            activity=rule.activity,
-                            timestamp=reading.timestamp,
-                            attributes=marks,
-                        ),
-                        reading,
-                    )
-                )
+                derived.append((_parsed_event(activity, reading.timestamp, marks), reading))
         else:
             in_run = False
     return derived, warning
@@ -375,10 +387,14 @@ def derive_events(
 def _enrich_trace(
     trace: Trace, index: StreamIndex, plan: EnrichmentPlan
 ) -> tuple[Trace, list[AuditRecord], list[str], list[tuple[str, float]]]:
-    """Run the plan over one trace.
+    """Run the plan over one trace; the plan has passed `validate_plan`.
 
     Returns the enriched trace, its audit records, its warnings and its
-    process-report contributions as (report key, value) pairs.
+    process-report contributions as (report key, value) pairs. The trace,
+    its rebuilt events and their attributes are built without the checks of
+    their constructors: the existing parts passed them, the plan's keys
+    passed `validate_plan`, and each value written is checked when it is
+    written.
     """
     case_id = trace.case_id
     events = list(trace.events)
@@ -414,20 +430,15 @@ def _enrich_trace(
         for i, (rule, ev, trigger) in enumerate(inserted, start=len(trace.events)):
             audit.append(
                 AuditRecord(
-                    kind="derived_event",
-                    case_id=case_id,
-                    binding_id=rule.rule_id,
-                    source_id=rule.source_id,
-                    key=ev.activity,
-                    value=ev.timestamp,
-                    readings=(trigger,),
-                    event_index=position[i],
+                    "derived_event", case_id, rule.rule_id, rule.source_id, ev.activity,
+                    ev.timestamp, (trigger,), position[i],
                 )
             )
 
     # Step 2: bindings, in plan order, on the evolving trace. The anchor
     # None stands for the trace. Event writes collect per event position.
     written: dict[int, dict[str, AttrValue]] = {}
+    case_written = False
     for binding in plan.bindings:
         kind = binding.target.kind
         key = binding.target.key
@@ -464,43 +475,35 @@ def _enrich_trace(
                 contributions.append((key, float(value)))
                 continue
             if pos is None:
-                attrs, scope = trace_attrs, "case"
+                attrs, scope, record_kind = trace_attrs, "case", "case_attribute"
             else:
                 attrs = written.get(pos) or {a.key: a.value for a in events[pos].attributes}
-                scope = "event"
+                scope, record_kind = "event", "event_attribute"
             if key in attrs:
                 if policy is CollisionPolicy.ERROR:
                     raise CollisionError(case_id, key, scope, binding_id)
                 if policy is CollisionPolicy.SKIP:
                     continue
             replaced = attrs.get(key)
-            attrs[key] = value
-            if pos is not None:
+            attrs[key] = _normalize_value(key, value)
+            if pos is None:
+                case_written = True
+            else:
                 written[pos] = attrs
             audit.append(
                 AuditRecord(
-                    kind=f"{scope}_attribute",
-                    case_id=case_id,
-                    binding_id=binding_id,
-                    source_id=source_id,
-                    key=key,
-                    value=value,
-                    readings=tuple(readings),
-                    event_index=pos,
-                    replaced=replaced,
+                    record_kind, case_id, binding_id, source_id, key, value, tuple(readings),
+                    pos, replaced,
                 )
             )
     for pos, attrs in written.items():  # each written event is rebuilt once
         event = events[pos]
-        attributes = tuple(Attribute(k, v) for k, v in attrs.items())
-        events[pos] = Event(event.activity, event.timestamp, attributes)
-
-    new_trace = Trace(
-        case_id=case_id,
-        attributes=tuple(Attribute(k, v) for k, v in trace_attrs.items()),
-        events=tuple(events),
-    )
-    return new_trace, audit, warnings, contributions
+        attributes = [_parsed_attribute(k, v) for k, v in attrs.items()]
+        events[pos] = _parsed_event(event.activity, event.timestamp, attributes)
+    attributes = trace.attributes
+    if case_written:
+        attributes = [_parsed_attribute(k, v) for k, v in trace_attrs.items()]
+    return _parsed_trace(case_id, attributes, tuple(events)), audit, warnings, contributions
 
 
 def enrich(log: Log, index: StreamIndex, plan: EnrichmentPlan) -> EnrichmentResult:

@@ -21,6 +21,8 @@ from enum import Enum
 from importlib import resources
 from typing import Any
 
+from .xes import _unwritable, _writable
+
 PLAN_VERSION = 1
 SOURCE_VALUE_TYPES = ("decimal", "string", "boolean")
 OUTPUT_TYPES = ("string", "int", "float", "boolean")
@@ -697,6 +699,11 @@ def validate_plan(plan: EnrichmentPlan) -> list[PlanIssue]:
     def issue(code: str, message: str, path: str) -> None:
         issues.append(PlanIssue(code, message, path))
 
+    def writable(field: str, text: str, path: str) -> None:
+        # Text the enrichment writes into the log must be text XML 1.0 can carry.
+        if not _writable(text):
+            issue("UNWRITABLE_TEXT", str(_unwritable(f"{field} {text!r}", text)), path)
+
     declared: dict[str, str] = {}
     for i, s in enumerate(plan.sources):
         if s.source_id in declared:
@@ -763,9 +770,13 @@ def validate_plan(plan: EnrichmentPlan) -> list[PlanIssue]:
                 f"binding {b.binding_id!r} writes excluded key {b.target.key!r}",
                 path,
             )
+        if b.target.kind is not TargetKind.PROCESS_REPORT_ENTRY:
+            writable("target key", b.target.key, f"{path}/target/key")
         d = b.derivation
         value_type = declared.get(b.source_id)
         if d is not None:
+            for j, label in enumerate(d.labels or ()):
+                writable("threshold_bucket label", label, f"{path}/derivation/labels/{j}")
             if (
                 d.aggregator in NUMERIC_AGGREGATORS
                 and value_type is not None
@@ -795,6 +806,8 @@ def validate_plan(plan: EnrichmentPlan) -> list[PlanIssue]:
 
     for i, r in enumerate(plan.event_rules):
         path = f"/event_rules/{i}"
+        writable("rule_id", r.rule_id, f"{path}/rule_id")  # written as the derived_from value
+        writable("activity", r.activity, f"{path}/activity")
         if r.source_id not in declared:
             issue(
                 "UNKNOWN_SOURCE",

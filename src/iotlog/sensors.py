@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .timeutil import parse_timestamp, to_utc, to_utc_ms
-from .xes import _NOT_XML_CHAR, _unwritable
+from .xes import _unwritable, _writable
 
 if TYPE_CHECKING:
     from .plan import SourceDecl
@@ -80,6 +80,29 @@ class SensorReading:
                 raise ValueError(f"location out of range: {self.location}")
             if type(self.location) is not tuple or type(lon) is not float or type(lat) is not float:
                 object.__setattr__(self, "location", (float(lon), float(lat)))
+
+
+# The file readers build readings through this, which skips the
+# constructor's checks and conversions: a row's reader has made them. An
+# empty sensor id becomes the source's, a value is a float, a boolean or a
+# string XML can carry, a location is a pair of floats in range, and
+# `parse_timestamp` returns normal timestamps.
+_new = object.__new__
+_set_sensor_id, _set_timestamp = SensorReading.sensor_id.__set__, SensorReading.timestamp.__set__
+_set_value, _set_unit = SensorReading.value.__set__, SensorReading.unit.__set__
+_set_subject_key = SensorReading.subject_key.__set__
+_set_location = SensorReading.location.__set__
+
+
+def _read_reading(sensor_id, timestamp, value, unit, subject_key, location) -> SensorReading:
+    reading = _new(SensorReading)
+    _set_sensor_id(reading, sensor_id)
+    _set_timestamp(reading, timestamp)
+    _set_value(reading, value)
+    _set_unit(reading, unit)
+    _set_subject_key(reading, subject_key)
+    _set_location(reading, location)
+    return reading
 
 
 @dataclass(frozen=True)
@@ -185,7 +208,7 @@ def _parse_value(raw, value_type: str, *, from_json: bool) -> ReadingValue:
         raise ValueError(f"bad boolean literal {raw!r}")
     if from_json and not isinstance(raw, str):
         raise ValueError(f"expected a string, got {raw!r}")
-    if not raw.isprintable() and _NOT_XML_CHAR.search(raw):
+    if not _writable(raw):
         raise _unwritable("string value", raw)
     return raw
 
@@ -227,10 +250,12 @@ def _reading_from_fields(
             _coordinate("lon", lon, from_json=from_json),
             _coordinate("lat", lat, from_json=from_json),
         )
+        if not (-180.0 <= location[0] <= 180.0 and -90.0 <= location[1] <= 90.0):
+            raise ValueError(f"location out of range: {location}")
     sensor_id = source.source_id if sensor_id in _ABSENT else str(sensor_id)
     unit = None if unit in _ABSENT else str(unit)
     subject_key = None if subject_key in _ABSENT else str(subject_key)
-    return SensorReading(  # positional, in field order: binding keywords costs a share of a row
+    return _read_reading(
         share(sensor_id, sensor_id),
         timestamp,
         value,

@@ -45,6 +45,8 @@ _CASE_ID_KEYS = ("case_id", "concept:name")
 _ACTIVITY_KEYS = ("activity", "concept:name")
 _TIMESTAMP_KEYS = ("timestamp", "time:timestamp")
 _MANDATORY_KEYS = frozenset(_CASE_ID_KEYS + _ACTIVITY_KEYS + _TIMESTAMP_KEYS)
+_EVENT_FIELDS = frozenset(_ACTIVITY_KEYS + _TIMESTAMP_KEYS)
+_TRACE_FIELDS = frozenset(_CASE_ID_KEYS)
 
 
 class XesParseError(ValueError):
@@ -60,9 +62,14 @@ class XesParseError(ValueError):
 
 
 # Characters XML 1.0 cannot carry, not even as a character reference. A
-# string that str.isprintable() accepts holds none of them, so callers try
-# that first: it is the common case and costs a third of the search.
+# string that str.isprintable() accepts holds none of them, so _writable
+# tries that first: it is the common case and costs a third of the search.
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _writable(text: str) -> bool:
+    """Whether XML 1.0 can carry every character of `text`."""
+    return text.isprintable() or _NOT_XML_CHAR.search(text) is None
 
 
 def _unwritable(field: str, text: str) -> ValueError:
@@ -86,7 +93,7 @@ def _normalize_value(key: str, value: AttrValue) -> AttrValue:
     if isinstance(value, datetime):
         return to_utc_ms(value)
     if isinstance(value, str):
-        if not value.isprintable() and _NOT_XML_CHAR.search(value):
+        if not _writable(value):
             raise _unwritable(f"attribute {key!r}: string value", value)
         return value
     raise TypeError(f"attribute {key!r}: unsupported value type {type(value).__name__}")
@@ -102,7 +109,7 @@ class Attribute:
     def __post_init__(self) -> None:
         if not self.key:
             raise ValueError(_EMPTY_KEY)
-        if not self.key.isprintable() and _NOT_XML_CHAR.search(self.key):
+        if not _writable(self.key):
             raise _unwritable(f"attribute key {self.key!r}", self.key)
         object.__setattr__(self, "value", _normalize_value(self.key, self.value))
 
@@ -134,7 +141,7 @@ class Event:
     def __post_init__(self) -> None:
         if not self.activity:
             raise ValueError("event activity must be non-empty")
-        if not self.activity.isprintable() and _NOT_XML_CHAR.search(self.activity):
+        if not _writable(self.activity):
             raise _unwritable(f"event activity {self.activity!r}", self.activity)
         object.__setattr__(self, "timestamp", to_utc_ms(self.timestamp))
         object.__setattr__(self, "attributes", _sorted_attrs(self.attributes))
@@ -162,7 +169,7 @@ class Trace:
     def __post_init__(self) -> None:
         if not self.case_id:
             raise ValueError("trace case_id must be non-empty")
-        if not self.case_id.isprintable() and _NOT_XML_CHAR.search(self.case_id):
+        if not _writable(self.case_id):
             raise _unwritable(f"trace case_id {self.case_id!r}", self.case_id)
         object.__setattr__(self, "attributes", _sorted_attrs(self.attributes))
         object.__setattr__(self, "events", tuple(self.events))
@@ -180,15 +187,19 @@ class Trace:
         return self.events[0].timestamp, self.events[-1].timestamp
 
 
-# The reader builds attributes and events through these, not through their
-# constructors, whose checks parsed text always passes: the reader refuses
-# an empty key or activity and an int outside 64 bits, expat every
-# character XML 1.0 cannot carry, and `parse_timestamp` returns normal
-# timestamps.
+# The reader and the enrichment kernel build attributes, events and traces
+# through these, which skip their constructors' checks: what they are given
+# has passed them already. The reader refuses an empty key or activity and an
+# int outside 64 bits, expat every character XML 1.0 cannot carry, and
+# `parse_timestamp` returns normal timestamps. The kernel writes the keys and
+# activities of a plan that `validate_plan` accepted, and checks each value
+# it derives when it writes it. Each still sorts the attributes it is given.
 _new = object.__new__
 _set_key, _set_value = Attribute.key.__set__, Attribute.value.__set__
 _set_activity, _set_timestamp = Event.activity.__set__, Event.timestamp.__set__
 _set_attributes = Event.attributes.__set__
+_set_case_id, _set_trace_attributes = Trace.case_id.__set__, Trace.attributes.__set__
+_set_events = Trace.events.__set__
 
 
 def _parsed_attribute(key: str, value: AttrValue) -> Attribute:
@@ -198,12 +209,22 @@ def _parsed_attribute(key: str, value: AttrValue) -> Attribute:
     return attribute
 
 
-def _parsed_event(activity: str, timestamp: datetime, attributes: list[Attribute]) -> Event:
+def _parsed_event(activity: str, timestamp: datetime, attributes: Iterable[Attribute]) -> Event:
     event = _new(Event)
     _set_activity(event, activity)
     _set_timestamp(event, timestamp)
     _set_attributes(event, _sorted_attrs(attributes))
     return event
+
+
+def _parsed_trace(
+    case_id: str, attributes: Iterable[Attribute], events: tuple[Event, ...]
+) -> Trace:
+    trace = _new(Trace)
+    _set_case_id(trace, case_id)
+    _set_trace_attributes(trace, _sorted_attrs(attributes))
+    _set_events(trace, events)
+    return trace
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,15 +320,10 @@ def _duplicate_key_violations(attributes, case_id, trace_index, event_index):
 # --- parsing ---------------------------------------------------------------
 
 
-def _parse_attribute(tag: str, attrs: dict[str, str], share, keep) -> Attribute | None:
-    """One flat attribute from an element's local tag name and XML attributes.
+def _parse_attribute(tag: str, attrs: dict[str, str]) -> tuple[str, AttrValue]:
+    """The key and typed value of a flat attribute element, from its local tag name and attributes.
 
-    `share` is the `setdefault` of one dict per parse: the key and a string
-    value come back as the document's first equal string, so repeated keys,
-    activities and values are held once. When `keep` is a set that lacks the
-    key, the attribute gets the same checks but is not built, and None comes
-    back. Raises XesParseError without a location; the reader adds where and
-    line.
+    Raises XesParseError without a location; the reader adds where and line.
     """
     key = attrs.get("key")
     raw = attrs.get("value")
@@ -341,9 +357,7 @@ def _parse_attribute(tag: str, attrs: dict[str, str], share, keep) -> Attribute 
             _normalize_value(key, value)
     except ValueError as exc:
         raise XesParseError(f"attribute {key!r}: {exc}") from exc
-    if keep is not None and key not in keep:
-        return None
-    return _parsed_attribute(share(key, key), share(raw, raw) if tag == "string" else value)
+    return key, value
 
 
 _VALUE_TAGS = {"string", "int", "float", "boolean", "date"}
@@ -351,12 +365,11 @@ _STRUCTURAL_TAGS = {"extension", "global", "classifier"}
 _timestamp = attrgetter("timestamp")
 
 
-def _take(attributes: list[Attribute], keys: tuple[str, ...]) -> AttrValue | None:
+def _pop_first(held: dict[str, AttrValue], keys: tuple[str, ...]) -> AttrValue | None:
+    """The held value of the first of `keys` that was given, removed from `held`."""
     for key in keys:
-        for i, attr in enumerate(attributes):
-            if attr.key == key:
-                del attributes[i]
-                return attr.value
+        if key in held:
+            return held.pop(key)
     return None
 
 
@@ -365,10 +378,12 @@ def parse_xes(document: bytes | str, keep: Iterable[str] | None = None) -> Log:
 
     The mandatory fields are read from `case_id`/`activity`/`timestamp`
     attribute elements (the `concept:name` / `time:timestamp` aliases are
-    also accepted); everything else is kept as a plain attribute. Events are
-    re-sorted by timestamp with input order preserved on ties. Extension,
-    global, and classifier declarations, the children of attribute elements,
-    text, comments and processing instructions are skipped.
+    also accepted); everything else is kept as a plain attribute, and so are
+    an alias given beside the preferred key and a field's key given again.
+    Events are re-sorted by timestamp with input order preserved on ties.
+    Extension, global, and classifier declarations, the children of
+    attribute elements, text, comments and processing instructions are
+    skipped.
 
     With `keep`, a set of keys, only attributes with one of those keys or a
     mandatory field's key (or alias) are built, at every scope; the others
@@ -390,8 +405,15 @@ def parse_xes(document: bytes | str, keep: Iterable[str] | None = None) -> Log:
     trace_attrs: list[Attribute] = []
     events: list[Event] = []
     event_attrs: list[Attribute] = []
+    # The first value of each mandatory field's key (or alias) in the open
+    # trace and event, held apart from the plain attributes.
+    trace_held: dict[str, AttrValue] = {}
+    event_held: dict[str, AttrValue] = {}
     declared: list[str | None] = []
     failures: list[XesParseError] = []
+    # The `setdefault` of one dict per parse: a key or string value comes back
+    # as the document's first equal string, so repeated keys, activities and
+    # values are held once.
     share = {}.setdefault
     # Elements nest log (depth 1) > trace (2) > event (3) > attribute (4);
     # in_trace/in_event say whether the open element at depth 2/3 is one.
@@ -412,30 +434,33 @@ def parse_xes(document: bytes | str, keep: Iterable[str] | None = None) -> Log:
         into = None  # the list an attribute element at this place goes into
         if depth == 4:
             if in_event:
-                into = event_attrs
+                into, held, fields = event_attrs, event_held, _EVENT_FIELDS
         elif depth == 3:
             if in_trace:
                 if tag == "event":
                     in_event, event_line = True, parser.CurrentLineNumber
                 else:
-                    into = trace_attrs
+                    into, held, fields = trace_attrs, trace_held, _TRACE_FIELDS
         elif depth == 2:
             if tag == "trace":
                 in_trace, trace_line = True, parser.CurrentLineNumber
             elif tag not in _STRUCTURAL_TAGS:
-                into = metadata
+                into, held, fields = metadata, None, ()
         elif depth == 1 and tag != "log":
             fail(f"expected <log> root element, found <{tag}>", parser.CurrentLineNumber)
         if into is None:
             return
         try:
-            attribute = _parse_attribute(tag, attrs, share, keep)
+            key, value = _parse_attribute(tag, attrs)
         except XesParseError as exc:
             where = ("log", f"trace {len(traces)}", f"trace {len(traces)}, event {len(events)}")
             fail(f"{where[depth - 2]}: {exc}", parser.CurrentLineNumber)
             return
-        if attribute is not None:
-            into.append(attribute)
+        if key in fields and key not in held:
+            held[key] = share(value, value) if type(value) is str else value
+        elif keep is None or key in keep:
+            value = share(value, value) if type(value) is str else value
+            into.append(_parsed_attribute(share(key, key), value))
 
     def end(name: str) -> None:
         nonlocal depth, in_trace, in_event
@@ -447,20 +472,30 @@ def parse_xes(document: bytes | str, keep: Iterable[str] | None = None) -> Log:
             end_trace()
         depth -= 1
 
+    def release(held: dict[str, AttrValue], into: list[Attribute]) -> None:
+        # A held value no field took (an alias beside its preferred key) is a
+        # plain attribute. It goes first, as it came before any other with
+        # its key, and the attributes are sorted stably by key.
+        for key, value in held.items():
+            into.insert(0, _parsed_attribute(share(key, key), value))
+
     def end_event() -> None:
         where = f"trace {len(traces)}, event {len(events)}"
-        activity = _take(event_attrs, _ACTIVITY_KEYS)
-        timestamp = _take(event_attrs, _TIMESTAMP_KEYS)
+        activity = _pop_first(event_held, _ACTIVITY_KEYS)
+        timestamp = _pop_first(event_held, _TIMESTAMP_KEYS)
         if activity is None or not isinstance(activity, str) or not activity:
             fail(f"{where}: missing mandatory activity", event_line)
         elif timestamp is None or not isinstance(timestamp, datetime):
             fail(f"{where}: missing mandatory timestamp", event_line)
         else:
+            if event_held:
+                release(event_held, event_attrs)
             events.append(_parsed_event(activity, timestamp, event_attrs))
         event_attrs.clear()
+        event_held.clear()
 
     def end_trace() -> None:
-        case_value = _take(trace_attrs, _CASE_ID_KEYS)
+        case_value = _pop_first(trace_held, _CASE_ID_KEYS)
         case_id = None if case_value is None else str(case_value)
         if case_id is None:
             fail(f"trace {len(traces)}: missing case_id", trace_line)
@@ -470,9 +505,12 @@ def parse_xes(document: bytes | str, keep: Iterable[str] | None = None) -> Log:
             fail(f"trace {len(traces)}: duplicate case_id {case_id!r}", trace_line)
         else:
             seen_cases.add(case_id)
+            if trace_held:
+                release(trace_held, trace_attrs)
             events.sort(key=_timestamp)  # stable: ties keep input order
-            traces.append(Trace(case_id, tuple(trace_attrs), tuple(events)))
+            traces.append(_parsed_trace(case_id, trace_attrs, tuple(events)))
         trace_attrs.clear()
+        trace_held.clear()
         events.clear()
 
     def skipped_entity(name: str, is_parameter_entity: bool) -> None:
@@ -507,8 +545,13 @@ def parse_xes(document: bytes | str, keep: Iterable[str] | None = None) -> Log:
             line=parser.ErrorLineNumber,
             column=parser.ErrorColumnNumber,
         ) from exc
+    finally:
+        # The handlers close over the parser; dropping them breaks that
+        # cycle, so the parse leaves nothing for the cyclic collector.
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.SkippedEntityHandler = parser.XmlDeclHandler = None
     if failures:
-        raise failures[0]
+        raise failures.pop(0)  # popped: a local holding it would tie it to its own traceback
     return Log(tuple(traces), tuple(metadata))
 
 

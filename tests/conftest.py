@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -42,6 +43,15 @@ def mklog(*traces: Trace) -> Log:
 
 def reading(sensor_id: str, when: datetime, value, subject=None) -> SensorReading:
     return SensorReading(sensor_id=sensor_id, timestamp=when, value=value, subject_key=subject)
+
+
+@pytest.fixture(autouse=True)
+def _the_cyclic_collector_stays_on():
+    """Fail a test that leaves the cyclic garbage collector disabled; `cli.main` pauses it."""
+    yield
+    if not gc.isenabled():
+        gc.enable()  # so the tests after this one run as they would
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture(scope="session")

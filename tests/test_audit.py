@@ -8,6 +8,7 @@ writer, which copied every reading in full.
 
 from __future__ import annotations
 
+import io
 import json
 from datetime import datetime
 from importlib import resources
@@ -15,13 +16,13 @@ from importlib import resources
 import pytest
 
 from iotlog import cli
-from iotlog.enrich import enrich
+from iotlog.enrich import AuditRecord, enrich
 from iotlog.plan import CorrelationStrategy, bundled_plan
-from iotlog.sensors import build_index, load_stream
+from iotlog.sensors import SensorStream, build_index, load_stream
 from iotlog.timeutil import format_timestamp
 from iotlog.xes import parse_xes, write_xes
 
-from conftest import at, ev, mklog, tr
+from conftest import at, ev, mklog, reading, tr
 
 
 def reference_json_value(value):
@@ -156,3 +157,28 @@ def test_an_overwrite_run_writes_what_it_replaced(scenario_bundle, tmp_path, cap
     assert len(after) == len(before) > 0
     assert all("replaced" not in row for row in before)
     assert after == [{**row, "replaced": row["value"]} for row in before]
+
+
+def test_each_line_is_the_json_dumps_of_its_row():
+    # Texts json.dumps escapes (non-ASCII, quotes, backslashes, control
+    # characters), repeated, as the writer encodes each distinct one once.
+    texts = ["plain", "caf\u00e9 \U0001f69a", 'q"uote\\', "tab\tnew\nline"]
+    values = [texts[1], 1.5, True, 7, at(5), texts[1]]
+    readings = tuple(reading("s", at(t), 1.0) for t in range(3))
+    index = build_index([SensorStream("s", "temperature", readings)])
+    records = [
+        AuditRecord(
+            "case_attribute" if n % 2 else "event_attribute", texts[n % 4], texts[(n + 1) % 4],
+            "s", texts[(n + 2) % 4], value, readings[: n % 4], n % 3 or None,
+            (None, texts[0], at(9))[n % 3],
+        )
+        for n, value in enumerate(values)
+    ]
+    handle = io.StringIO()
+    cli._write_audit(handle, records, index)
+    expected = []
+    for record in records:
+        row = reference_audit_row(record)
+        row["readings"] = [readings.index(r) for r in record.readings]
+        expected.append(json.dumps(row) + "\n")
+    assert handle.getvalue() == "".join(expected)

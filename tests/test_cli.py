@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -16,9 +17,10 @@ import shutil
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iotlog import cli
 from iotlog.cli import main
 from iotlog.plan import bundled_plan
 from iotlog.query import QueryParseError, run_query
@@ -313,6 +315,41 @@ def test_enrich_invalid_plan_exits_one(capsys, gen_dir, tmp_path):
     assert json.loads(out.splitlines()[0])["code"] == "UNKNOWN_SOURCE"
 
 
+# A plan field the enrichment writes into the log, set to text XML 1.0 cannot carry.
+@pytest.mark.parametrize(
+    "name, pointer, text",
+    [
+        ("scenario1", "/bindings/0/target/key", "truck\x01plate"),
+        ("scenario2", "/bindings/4/derivation/labels/1", ">35\ufffe"),
+        ("scenario2", "/event_rules/0/rule_id", "discontinue\x1f"),
+        ("scenario2", "/event_rules/0/activity", "discontinue\ud800"),
+    ],
+)
+def test_plan_text_xml_cannot_carry_fails_validate_and_enrich_with_its_path(
+    capsys, gen_dir, tmp_path, name, pointer, text
+):
+    plan = json.loads(resources.files("iotlog.plans").joinpath(f"{name}.json").read_text())
+    *parents, last = pointer.strip("/").split("/")
+    node = plan
+    for part in parents:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[int(last) if isinstance(node, list) else last] = text
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))  # ASCII: a lone surrogate is written as an escape
+    expected = {"scope": "plan", "code": "UNWRITABLE_TEXT", "path": pointer}
+    for command in (
+        ["validate", "--plan", str(path)],
+        ["enrich", "--log", str(gen_dir / "log.xes"), "--plan", str(path),
+         "--sensors", str(gen_dir), "--out", str(tmp_path / "out")],
+    ):
+        code, out, err = run(capsys, *command)
+        assert (code, err) == (1, ""), err
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [{k: row[k] for k in expected} for row in rows] == [expected]
+        assert "XML 1.0 cannot carry" in rows[0]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_enrich_missing_sensor_file_is_an_input_error(capsys, gen_dir, tmp_path):
     code, _, err = run(
         capsys,
@@ -360,23 +397,39 @@ def test_enrich_an_int_derivation_outside_64_bits_exits_one(capsys, tmp_path):
     }
 
 
+# The source of the small scenario whose file is JSON lines instead of CSV.
+JSONL_SOURCE = "humidity_cargo"
+
+
 @pytest.fixture(scope="module")
 def small_scenario(tmp_path_factory):
-    """A 4-case generated scenario with the bundled scenario2 plan as plan.json."""
+    """A 4-case generated scenario with the bundled scenario2 plan as plan.json.
+
+    One source, JSONL_SOURCE, is read from JSON lines with native values, so
+    both file formats are read.
+    """
     out = tmp_path_factory.mktemp("cli-enrich")
     config = out / "config.json"
     config.write_text(json.dumps({"seed": 1, "n_cases": 4}))
+    data = out / "data"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["gen", "--config", str(config), "--out", str(out / "data")]) == 0
-    plan = resources.files("iotlog.plans").joinpath("scenario2.json").read_bytes()
-    (out / "data" / "plan.json").write_bytes(plan)
-    return out / "data"
+        assert main(["gen", "--config", str(config), "--out", str(data)]) == 0
+    with (data / f"{JSONL_SOURCE}.csv").open(newline="", encoding="utf-8") as handle:
+        records = [{**row, "value": float(row["value"])} for row in csv.DictReader(handle)]
+    (data / f"{JSONL_SOURCE}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    (data / f"{JSONL_SOURCE}.csv").unlink()
+    plan = resources.files("iotlog.plans").joinpath("scenario2.json").read_text()
+    csv_source = f'"path": "{JSONL_SOURCE}.csv", "format": "csv"'
+    assert csv_source in plan
+    plan = plan.replace(csv_source, f'"path": "{JSONL_SOURCE}.jsonl", "format": "jsonl"')
+    (data / "plan.json").write_text(plan)
+    return data
 
 
 def _enrich_scenario(data, out):
-    """Run `iotlog enrich` on a small scenario in-process; return (code, stderr)."""
-    stderr = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+    """Run `iotlog enrich` on a small scenario in-process; return (code, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(
             [
                 "enrich",
@@ -386,7 +439,7 @@ def _enrich_scenario(data, out):
                 "--out", str(out),
             ]
         )
-    return code, stderr.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -398,7 +451,7 @@ def test_a_byte_that_is_not_utf8_names_the_file_and_where(small_scenario, tmp_pa
     body = (data / name).read_bytes()
     at_byte = body.index(b"\n", body.index(b"\n") + 1) + 3  # on the third line
     (data / name).write_bytes(body[:at_byte] + b"\xff" + body[at_byte + 1 :])
-    code, err = _enrich_scenario(data, tmp_path / "out")
+    code, _, err = _enrich_scenario(data, tmp_path / "out")
     assert code == 2
     assert str(data / name) in err and "byte 0xff is not UTF-8" in err and where in err
 
@@ -436,7 +489,7 @@ def test_a_truncated_plan_names_the_file_line_and_column(small_scenario, tmp_pat
     body = (data / "plan.json").read_text()
     (data / "plan.json").write_text(body[: body.index('"bindings"')])
     line = body[: body.index('"bindings"')].count("\n") + 1
-    code, err = _enrich_scenario(data, tmp_path / "out")
+    code, _, err = _enrich_scenario(data, tmp_path / "out")
     assert code == 2
     assert err.startswith(f"error: {data / 'plan.json'}: invalid JSON: ")
     assert err.endswith(f"(line {line}, column 3)\n")
@@ -477,23 +530,64 @@ _EDITS = st.lists(
 
 # The inputs of one enrich run: the log, the plan, and the sensor files it reads.
 _ENRICH_INPUTS = ["log.xes", "plan.json"] + sorted(
-    {source.path for source in bundled_plan("scenario2").sources}
+    {source.path.replace(f"{JSONL_SOURCE}.csv", f"{JSONL_SOURCE}.jsonl")
+     for source in bundled_plan("scenario2").sources}
 )
 _LOCATED = re.compile(r"\((?:row|line) \d+|line \d+ column \d+|^error: /")  # or a file's path
 
 
-@settings(max_examples=200, deadline=None)
-@given(name=st.sampled_from(_ENRICH_INPUTS), edits=_EDITS)
-def test_a_mutated_enrich_input_is_answered_or_rejected_with_a_location(
-    small_scenario, tmp_path_factory, name, edits
-):
+# Mutations that once reached an internal error, with the answer each gets now:
+# the exit code and a piece of the message. An insert at _SPAN - 1 appends.
+_PINNED = [
+    (  # a declaration of an encoding expat does not know
+        "log.xes",
+        [("replace", 0, b"<?xml version='1.0' encoding='UT1e9'?>")],
+        2,
+        "unsupported XML encoding 'UT1e9'",
+    ),
+    (  # a driver id that is an int outside 64 bits, read before the case's own
+        "rfid_driver_id.csv",
+        [("insert", _SPAN - 1,
+          b"2024-03-02T04:57:49.000+00:00,rfid-gate-in,99999999999999999999,LPN-0001\n")],
+        1,
+        "cannot coerce 1e+20 to int: outside 64 bits",
+    ),
+]
+
+
+def _enrich_mutated(small_scenario, out, name, edits):
     path = small_scenario / name
     original = path.read_bytes()
     path.write_bytes(_mutate(original, edits))
     try:
-        code, err = _enrich_scenario(small_scenario, tmp_path_factory.getbasetemp() / "mutated")
+        return _enrich_scenario(small_scenario, out)
     finally:
         path.write_bytes(original)
+
+
+@pytest.mark.parametrize("name, edits, code, message", _PINNED)
+def test_the_pinned_mutations_still_reach_what_they_pin(
+    small_scenario, tmp_path, name, edits, code, message
+):
+    got, out, err = _enrich_mutated(small_scenario, tmp_path / "out", name, edits)
+    assert got == code and message in out + err, out + err
+
+
+def test_the_unmutated_small_scenario_enriches(small_scenario, tmp_path):
+    code, out, err = _enrich_mutated(small_scenario, tmp_path / "out", "log.xes", [])
+    assert (code, err) == (0, ""), err
+    assert json.loads(out)["additions"] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(_ENRICH_INPUTS), edits=_EDITS)
+@example(name=_PINNED[0][0], edits=_PINNED[0][1])
+@example(name=_PINNED[1][0], edits=_PINNED[1][1])
+def test_a_mutated_enrich_input_is_answered_or_rejected_with_a_location(
+    small_scenario, tmp_path_factory, name, edits
+):
+    out = tmp_path_factory.getbasetemp() / "mutated"
+    code, _, err = _enrich_mutated(small_scenario, out, name, edits)
     assert code in (0, 1, 2) and "internal error" not in err, err
     if code == 2:
         assert str(small_scenario) in err or _LOCATED.search(err), err
@@ -641,3 +735,72 @@ def test_table_format_renders_rows(capsys, gen_dir):
 def test_unknown_subcommand_fails_fast(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# --- the cyclic garbage collector -----------------------------------------------
+
+
+def test_main_pauses_the_cyclic_collector_and_restores_what_it_found(capsys, monkeypatch):
+    during = []
+
+    def command(args):
+        during.append(gc.isenabled())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_query", command)
+    assert main(["query", "--log", ED, "--query", "count"]) == 0
+    assert during == [False] and gc.isenabled()
+    with pytest.raises(SystemExit):
+        main(["query", "--log", ED])  # argparse exits: --query is missing
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert main(["query", "--log", ED, "--query", "count"]) == 0
+        assert not gc.isenabled()  # a caller that paused it keeps it paused
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def _cyclic_garbage_of(argv) -> int:
+    """The objects the cyclic collector finds unreachable after `main(argv)`."""
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def _garbage_per_command(directory, seed: int, n_cases: int) -> dict[str, int]:
+    config = directory / "config.json"
+    config.write_text(json.dumps({"seed": seed, "n_cases": n_cases}))
+    data = directory / "data"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--config", str(config), "--out", str(data)]) == 0
+    garbage = {}
+    for plan in ("scenario1", "scenario2"):
+        out = directory / plan
+        garbage[f"enrich {plan}"] = _cyclic_garbage_of(
+            ["enrich", "--log", str(data / "log.xes"), "--plan", plan,
+             "--sensors", str(data), "--out", str(out)]
+        )
+        garbage[f"query {plan}"] = _cyclic_garbage_of(
+            ["query", "--log", str(out / "enriched.xes"),
+             "--query", 'cases where case.weather = true and has activity "enter the port"']
+        )
+    return garbage
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_a_command_leaves_cyclic_garbage_that_does_not_grow_with_its_input(
+    tmp_path_factory, seed
+):
+    # The collector is paused while a command runs, so garbage that grew with
+    # the input would stay until the command ends.
+    small = _garbage_per_command(tmp_path_factory.mktemp("small"), seed, 2)
+    large = _garbage_per_command(tmp_path_factory.mktemp("large"), seed, 50)
+    assert large == small

@@ -442,6 +442,16 @@ def test_rule_over_non_numeric_readings_fails():
         derive_events(rule(), index, [ev("a", at(0)), ev("b", at(10))], {}, "c")
 
 
+def test_a_rule_with_text_xml_cannot_carry_derives_no_event():
+    index = build_index([stream("s", [reading("s", at(5), 50.0)])])
+    events = [ev("a", at(0)), ev("b", at(10))]
+    with pytest.raises(ValueError, match="event activity 'al\\\\x01arm' holds U\\+0001"):
+        derive_events(rule(activity="al\x01arm"), index, events, {}, "c")
+    bad_id = EventDerivationRule("r\x02", "s", SPAN, Condition("above", 30.0), "alarm")
+    with pytest.raises(ValueError, match="string value holds U\\+0002"):
+        derive_events(bad_id, index, events, {}, "c")
+
+
 # --- the enrich() pass ------------------------------------------------------------
 
 
@@ -452,6 +462,20 @@ def simple_plan(*bindings, sources=None, event_rules=(), collision=CollisionPoli
         event_rules=tuple(event_rules),
         collision_policy=collision,
     )
+
+
+@pytest.mark.parametrize("kind", [TargetKind.CASE_ATTRIBUTE, TargetKind.EVENT_ATTRIBUTE])
+def test_a_value_xml_cannot_carry_is_refused_when_it_is_written(kind):
+    # A reading built through the API may hold any string; a file's may not.
+    log = mklog(tr("c1", [ev("a", at(0)), ev("b", at(60))]))
+    index = build_index([stream("s", [reading("s", at(30), "x\x01y")])])
+    level = {v: k for k, v in LEVEL_TARGETS.items()}[kind]
+    plan = simple_plan(
+        binding("b1", "s", level=level, kind=kind, key="k", derivation=None),
+        sources=[declare("s", "string")],
+    )
+    with pytest.raises(ValueError, match="attribute 'k': string value holds U\\+0001"):
+        enrich(log, index, plan)
 
 
 def test_case_attribute_binding_attaches_and_audits():
@@ -1221,6 +1245,15 @@ EVENT, CASE, PROCESS = list(TARGET_KEYS)
 def test_the_binding_kernel_matches_the_two_copy_reference(
     traces, s_rows, u_rows, binding_specs, rule_specs, policy
 ):
+    log, index, plan = kernel_inputs(traces, s_rows, u_rows, binding_specs, rule_specs, policy)
+    got = _result_or_error(lambda: enrich(log, index, plan))
+    with mock.patch.object(ENGINE, "_enrich_trace", reference_enrich_trace):
+        expected = _result_or_error(lambda: enrich(log, index, plan))
+    assert got == expected
+
+
+def kernel_inputs(traces, s_rows, u_rows, binding_specs, rule_specs, policy):
+    """The log, index and plan of one drawn kernel case."""
     log = mklog(
         *(
             tr(f"c{n}", [ev(a, at(t), **attrs) for t, a, attrs in body], **plate, **case)
@@ -1258,7 +1291,40 @@ def test_the_binding_kernel_matches_the_two_copy_reference(
         event_rules=rules,
         collision=policy,
     )
-    got = _result_or_error(lambda: enrich(log, index, plan))
-    with mock.patch.object(ENGINE, "_enrich_trace", reference_enrich_trace):
-        expected = _result_or_error(lambda: enrich(log, index, plan))
-    assert got == expected
+    return log, index, plan
+
+
+def rebuilt_attributes(attributes):
+    return tuple(Attribute(a.key, a.value) for a in attributes)
+
+
+def rebuilt_trace(trace: Trace) -> Trace:
+    """`trace` built again through the public constructors, which check and normalise each part."""
+    events = tuple(
+        Event(e.activity, e.timestamp, rebuilt_attributes(e.attributes)) for e in trace.events
+    )
+    return Trace(trace.case_id, rebuilt_attributes(trace.attributes), events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kernel_traces,
+    kernel_readings,
+    kernel_readings,
+    kernel_bindings,
+    kernel_rules,
+    st.sampled_from(list(CollisionPolicy)),
+)
+def test_the_kernel_builds_what_the_public_constructors_build(
+    traces, s_rows, u_rows, binding_specs, rule_specs, policy
+):
+    # The kernel builds traces, events and attributes without their
+    # constructors' checks; a rebuild through them changes nothing, not even
+    # a value's type (repr tells 1 from 1.0 and True, () from []).
+    log, index, plan = kernel_inputs(traces, s_rows, u_rows, binding_specs, rule_specs, policy)
+    try:
+        result = enrich(log, index, plan)
+    except (CollisionError, DerivationError):
+        return
+    for trace in result.log.traces:
+        assert repr(rebuilt_trace(trace)) == repr(trace)

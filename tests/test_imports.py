@@ -2,7 +2,8 @@
 
 `iotlog` resolves its exported names on first access, and `iotlog.cli`
 imports a command's modules when the command runs, so `iotlog query` loads
-only the query, xes and timeutil modules. The checks that need a fresh
+only the query, xes and timeutil modules, and `iotlog enrich` does not load
+query. The checks that need a fresh
 interpreter run in a subprocess.
 """
 
@@ -79,6 +80,26 @@ def test_a_query_loads_only_the_query_xes_and_timeutil_modules():
     ).splitlines()[-1]
     assert json.loads(loaded) == [
         0, ["iotlog", "iotlog.cli", "iotlog.query", "iotlog.timeutil", "iotlog.xes"]
+    ]
+
+
+def test_an_enrich_does_not_load_the_query_module(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, "n_cases": 3}))
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run_cli("gen", "--config", str(config), "--out", str(data)).returncode == 0
+    loaded = python(
+        "import contextlib, io, json, sys\n"
+        "from iotlog import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['enrich', '--log', {str(data / 'log.xes')!r}, "
+        f"'--plan', 'scenario2', '--sensors', {str(data)!r}, '--out', {str(out)!r}])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('iotlog'))]))\n"
+    ).splitlines()[-1]
+    assert json.loads(loaded) == [
+        0,
+        ["iotlog", "iotlog.cli", "iotlog.enrich", "iotlog.plan", "iotlog.plans",
+         "iotlog.sensors", "iotlog.timeutil", "iotlog.xes"],
     ]
 
 

@@ -318,6 +318,34 @@ def test_excluded_key_target_is_rejected():
     assert codes(plan) == ["EXCLUDED_KEY_TARGET"]
 
 
+def issues_of(plan: EnrichmentPlan) -> list[tuple[str, str]]:
+    return [(issue.code, issue.path) for issue in validate_plan(plan)]
+
+
+@pytest.mark.parametrize("text", ["a\x01b", "\ud800", "x\ufffe"])
+def test_text_the_log_would_carry_must_be_text_xml_can_carry(text):
+    event = ProcessContextLevel.EVENT, TargetKind.EVENT_ATTRIBUTE
+    bucket = Derivation(Aggregator.THRESHOLD_BUCKET, "string", boundaries=(1.0,),
+                        labels=("lo", text))
+    assert issues_of(plan_with(bindings=(binding(key=text),))) == [
+        ("UNWRITABLE_TEXT", "/bindings/0/target/key")
+    ]
+    assert issues_of(plan_with(bindings=(binding(level=event[0], kind=event[1], key=text),))) == [
+        ("UNWRITABLE_TEXT", "/bindings/0/target/key")
+    ]
+    assert issues_of(plan_with(bindings=(binding(derivation=bucket),))) == [
+        ("UNWRITABLE_TEXT", "/bindings/0/derivation/labels/1")
+    ]
+    rule = EventDerivationRule(text, "temp", SPAN, Condition("above", 1.0), text)
+    assert issues_of(plan_with(event_rules=(rule,))) == [
+        ("UNWRITABLE_TEXT", "/event_rules/0/rule_id"),
+        ("UNWRITABLE_TEXT", "/event_rules/0/activity"),
+    ]
+    # A process report entry is written to report.json, never to the log.
+    process = ProcessContextLevel.PROCESS, TargetKind.PROCESS_REPORT_ENTRY
+    assert codes(plan_with(bindings=(binding(level=process[0], kind=process[1], key=text),))) == []
+
+
 def test_numeric_aggregator_needs_a_decimal_source():
     text_source = SourceDecl(
         source_id="plate",

@@ -493,6 +493,92 @@ def test_generated_streams_roundtrip_through_csv(scenario_bundle):
         assert loaded.readings == stream.readings
 
 
+# --- the file readers against the public constructor -----------------------------
+
+UTC = timezone.utc
+_optional_text = st.none() | st.text(
+    st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=6
+).filter(str.strip)
+_values = {  # (the value SensorReading is given, its CSV text, its JSON value)
+    "decimal": (st.integers(-(10**6), 10**6) | st.floats(allow_nan=False, allow_infinity=False))
+    .map(lambda x: (x, repr(x), x)),
+    "boolean": st.sampled_from(
+        [(True, "true", True), (False, " FALSE ", False), (True, "1", True), (False, "0", False)]
+    ),
+    "string": st.text(st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=6)
+    .filter(str.strip)
+    .map(lambda x: (x, x, x)),
+}
+_coordinates = st.none() | st.tuples(
+    st.integers(-180, 180) | st.floats(-180, 180), st.integers(-90, 90) | st.floats(-90, 90)
+)
+_stamps = st.datetimes(
+    min_value=datetime(2000, 1, 1),
+    max_value=datetime(2030, 1, 1),
+    timezones=st.sampled_from([None, UTC, timezone(timedelta(hours=-5))]),
+)
+
+
+@given(
+    st.sampled_from(sorted(_values)).flatmap(
+        lambda value_type: st.tuples(
+            st.just(value_type),
+            st.lists(
+                st.tuples(
+                    _stamps, _values[value_type], _optional_text, _optional_text,
+                    _optional_text, _coordinates,
+                ),
+                max_size=5,
+            ),
+        )
+    )
+)
+def test_csv_and_jsonl_readings_are_what_the_constructor_builds_from_their_fields(drawn):
+    # The readers build readings without the constructor's checks and
+    # conversions; the readings must equal the constructor's, field types too.
+    value_type, rows = drawn
+    header = ["timestamp", "value", "sensor_id", "unit", "subject_key", "lon", "lat"]
+    csv_rows, json_rows, expected = [], [], []
+    for stamp, (value, text, native), sensor_id, unit, subject, location in rows:
+        lon, lat = location or ("", "")
+        csv_rows.append([stamp.isoformat(), text, sensor_id or "", unit or "", subject or "",
+                         repr(lon) if location else "", repr(lat) if location else ""])
+        record = {"timestamp": stamp.isoformat(), "value": native, "sensor_id": sensor_id,
+                  "unit": unit, "subject_key": subject}
+        if location:
+            record.update(lon=lon, lat=lat)
+        json_rows.append(json.dumps(record))
+        expected.append(SensorReading(sensor_id or "s1", stamp, value, unit, subject, location))
+    expected_stream = SensorStream("s1", "temperature", tuple(expected))
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(Path(tmp) / "s1.csv", "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows([header, *csv_rows])
+        (Path(tmp) / "s1.jsonl").write_text("".join(f"{row}\n" for row in json_rows))
+        for fmt in ("csv", "jsonl"):
+            got = load_stream(decl(fmt=fmt, value_type=value_type), tmp).readings
+            assert got == expected_stream.readings, fmt
+            assert [field_types(r) for r in got] == [
+                field_types(r) for r in expected_stream.readings
+            ], fmt
+
+
+def field_types(reading: SensorReading) -> tuple:
+    location = reading.location
+    return (
+        type(reading.sensor_id), type(reading.timestamp), reading.timestamp.tzinfo,
+        type(reading.value), type(reading.unit), type(reading.subject_key), type(location),
+        location and tuple(map(type, location)),
+    )
+
+
+def test_a_location_out_of_range_is_a_located_ingest_error(tmp_path):
+    (tmp_path / "s1.csv").write_text(
+        "timestamp,value,lon,lat\n2024-03-01T12:00Z,1,4.3,51.9\n2024-03-01T12:01Z,1,181,0\n"
+    )
+    with pytest.raises(SensorIngestError, match=r"location out of range: \(181.0, 0.0\) \(row 3\)"):
+        load_stream(decl(), tmp_path)
+
+
 # --- the CSV loader against the former DictReader loader -----------------------
 
 
