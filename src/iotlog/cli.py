@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from datetime import datetime
 from importlib import import_module
@@ -93,12 +94,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-def _json_value(value):
-    if isinstance(value, datetime):
-        return format_timestamp(value)
-    return value
 
 
 def _emit(obj: dict, fmt: str) -> None:
@@ -193,6 +188,23 @@ class _Encoded(dict):
         return encoded
 
 
+def _json_text(value, text: _Encoded) -> str:
+    """The JSON of an audit value as json.dumps writes it; a datetime is its format_timestamp."""
+    kind = type(value)
+    if kind is str:
+        return text[value]
+    if kind is float:
+        # json.dumps spells a non-finite float NaN, Infinity or -Infinity.
+        return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if isinstance(value, datetime):
+        return f'"{format_timestamp(value)}"'  # its characters need no escape
+    return json.dumps(value)
+
+
 def _write_audit(handle, audit, index: StreamIndex) -> None:
     """Write one JSON object per audit record, in the keys of docs/audit-format.md.
 
@@ -201,9 +213,8 @@ def _write_audit(handle, audit, index: StreamIndex) -> None:
     by identity, which holds because the index keeps every reading alive for
     the whole run; a stream's map is built the first time a record needs it.
     Each distinct kind, case id, binding id, source id, key and string value
-    is encoded once per call.
+    is encoded once per call, and other values without json.dumps.
     """
-    dumps = json.dumps
     text = _Encoded()
     positions: dict[str, dict[int, int]] = {}
     for record in audit:
@@ -212,18 +223,16 @@ def _write_audit(handle, audit, index: StreamIndex) -> None:
         if at is None:
             readings = index.stream(source_id).readings
             at = positions[source_id] = {id(r): p for p, r in enumerate(readings)}
-        value = record.value
-        value = text[value] if type(value) is str else dumps(_json_value(value))
         line = (
             f'{{"kind": {text[record.kind]}, "case_id": {text[record.case_id]}, '
             f'"binding_id": {text[record.binding_id]}, "source_id": {text[source_id]}, '
-            f'"key": {text[record.key]}, "value": {value}, '
+            f'"key": {text[record.key]}, "value": {_json_text(record.value, text)}, '
             f'"readings": [{", ".join([str(at[id(r)]) for r in record.readings])}]'
         )
         if record.event_index is not None:
             line += f', "event_index": {record.event_index}'
         if record.replaced is not None:
-            line += f', "replaced": {dumps(_json_value(record.replaced))}'
+            line += f', "replaced": {_json_text(record.replaced, text)}'
         handle.write(line + "}\n")
 
 

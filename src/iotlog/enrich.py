@@ -246,7 +246,14 @@ def _sum(values) -> float:
     return total
 
 
+_value = attrgetter("value")
+
+
 def _numeric_values(readings: list[SensorReading], context: str) -> list[float]:
+    values = list(map(_value, readings))
+    if set(map(type, values)) <= {float}:
+        return values
+    # Otherwise find the reading that is not a number, and name it.
     values = []
     for position, reading in enumerate(readings):
         if not _is_number(reading.value):

@@ -11,9 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
@@ -82,11 +85,11 @@ class SensorReading:
                 object.__setattr__(self, "location", (float(lon), float(lat)))
 
 
-# The file readers build readings through this, which skips the
-# constructor's checks and conversions: a row's reader has made them. An
-# empty sensor id becomes the source's, a value is a float, a boolean or a
-# string XML can carry, a location is a pair of floats in range, and
-# `parse_timestamp` returns normal timestamps.
+# The file readers build readings through this, or through the setters
+# themselves, which skips the constructor's checks and conversions: the
+# reader has made them. An empty sensor id becomes the source's, a value is
+# a float, a boolean or a string XML can carry, a location is a pair of
+# floats in range, and a timestamp is normal.
 _new = object.__new__
 _set_sensor_id, _set_timestamp = SensorReading.sensor_id.__set__, SensorReading.timestamp.__set__
 _set_value, _set_unit = SensorReading.value.__set__, SensorReading.unit.__set__
@@ -306,8 +309,6 @@ def _utf8_fault(path: Path, exc: UnicodeDecodeError) -> tuple[str, int | None]:
 
 
 def _load_csv(path: Path, source: SourceDecl) -> list[SensorReading]:
-    readings = []
-    share = {}.setdefault
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
@@ -316,19 +317,133 @@ def _load_csv(path: Path, source: SourceDecl) -> list[SensorReading]:
             if required not in column:
                 raise SensorIngestError(f"header is missing column {required!r}", path=str(path))
         width = len(header)
-        # An absent optional column reads index `width`: the None appended to every row.
-        pick = itemgetter(*(column.get(name, width) for name in _FIELDS))
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue  # a blank line
-                # Extra fields are ignored; fields past the row's end are absent.
-                row = row[:width] + [None] * (width - len(row))
-            row.append(None)
-            try:
-                readings.append(_reading_from_fields(pick(row), source, share, from_json=False))
-            except ValueError as exc:
-                raise SensorIngestError(str(exc), path=str(path), row=reader.line_num) from exc
+        readings = _csv_columns(reader, width, [column.get(name) for name in _FIELDS], source)
+        if readings is None:
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
+            # An absent optional column reads index `width`: the None appended to every row.
+            pick = itemgetter(*(column.get(name, width) for name in _FIELDS))
+            readings = _csv_rows(reader, width, pick, source, path)
+    return readings
+
+
+def _csv_rows(reader, width: int, pick, source: SourceDecl, path: Path) -> list[SensorReading]:
+    """The rows left in `reader`, one at a time: what a row means, and where it is bad."""
+    readings = []
+    share = {}.setdefault
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue  # a blank line
+            # Extra fields are ignored; fields past the row's end are absent.
+            row = row[:width] + [None] * (width - len(row))
+        row.append(None)
+        try:
+            readings.append(_reading_from_fields(pick(row), source, share, from_json=False))
+        except ValueError as exc:
+            raise SensorIngestError(str(exc), path=str(path), row=reader.line_num) from exc
+    return readings
+
+
+# Rows _csv_columns converts at a time: enough that its per-chunk costs
+# vanish, few enough that one chunk's cells are a small share of memory.
+_CHUNK = 1024
+# The layout of every timestamp format_timestamp writes, each digit a 0.
+_LAYOUT = b"0000-00-00T00:00:00.000+00:00"
+_ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
+# The grammar's hours are 00-23. ISO 8601 also has 24:00, the end of a day,
+# so this does not rely on fromisoformat to refuse it.
+_LATE_HOUR = re.compile(rb"T(?:2[4-9]|[3-9])")
+_fromisoformat = datetime.fromisoformat
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+_consume = deque(maxlen=0).extend
+
+
+def _csv_columns(reader, width: int, at: list, source: SourceDecl) -> list[SensorReading] | None:
+    """The rows left in `reader`, a chunk at a time; None at the first cell in doubt.
+
+    `at` holds the column of each of _FIELDS, None for an absent one. Each
+    chunk is transposed and each column converted in one C-level loop. Any
+    chunk these checks do not take as it is -- a row of another width, an
+    empty cell, a timestamp in another layout than format_timestamp's, a
+    value that does not convert -- makes this return None, and the caller
+    reads the file again with _csv_rows, which alone says what a row means
+    and locates a bad one. A blank line is skipped, as _csv_rows skips it.
+    """
+    stamp_at, value_at, id_at, unit_at, subject_at, lon_at, lat_at = at
+    if (lon_at is None) is not (lat_at is None):
+        return None  # lon without lat, or lat without lon: _csv_rows says which rows fail
+    share = {}.setdefault
+    source_id = share(source.source_id, source.source_id)
+    texts = (
+        (_set_sensor_id, id_at, source_id), (_set_unit, unit_at, None),
+        (_set_subject_key, subject_at, None),
+    )
+    value_type = source.value_type
+    readings: list[SensorReading] = []
+    try:
+        while chunk := list(islice(reader, _CHUNK)):
+            rows = list(filter(None, chunk))
+            if not rows:
+                continue
+            if set(map(len, rows)) != {width}:
+                return None
+            columns = list(zip(*rows))
+            n = len(rows)
+
+            # Each timestamp has format_timestamp's layout. The layout has one
+            # '+', so n matches of "+00:00" mean that every offset is zero.
+            stamps = columns[stamp_at]
+            text = "\n".join(stamps).encode("ascii")
+            if (
+                text.translate(_ZERO_DIGITS) != b"\n".join(repeat(_LAYOUT, n))
+                or text.count(b"+00:00") != n
+                or _LATE_HOUR.search(text)
+            ):
+                return None
+            # fromisoformat refuses an impossible date or time, and gives the
+            # timezone.utc singleton for +00:00, so each result is normal.
+            timestamps = list(map(_fromisoformat, stamps))
+
+            values = columns[value_at]
+            if value_type == "decimal":
+                values = list(map(float, values))
+                if not all(map(math.isfinite, values)):
+                    return None
+            elif value_type == "boolean":
+                values = list(map(_BOOLEANS.get, map(str.lower, map(str.strip, values))))
+                if None in values:
+                    return None
+            elif "" in values or not all(map(str.isprintable, values)):
+                return None
+            else:
+                values = map(share, values, values)
+
+            if any(i is not None and "" in columns[i] for _, i, _ in texts):
+                return None
+            locations = repeat(None)
+            if lon_at is not None:
+                lons = list(map(float, columns[lon_at]))
+                lats = list(map(float, columns[lat_at]))
+                if not (
+                    all(map(math.isfinite, lons)) and all(map(math.isfinite, lats))
+                    and -180.0 <= min(lons) and max(lons) <= 180.0
+                    and -90.0 <= min(lats) and max(lats) <= 90.0
+                ):
+                    return None
+                locations = zip(lons, lats)
+
+            built = list(map(_new, repeat(SensorReading, n)))
+            _consume(map(_set_timestamp, built, timestamps))
+            _consume(map(_set_value, built, values))
+            for setter, i, absent in texts:
+                cells = repeat(absent) if i is None else map(share, columns[i], columns[i])
+                _consume(map(setter, built, cells))
+            _consume(map(_set_location, built, locations))
+            readings += built
+    except (ValueError, csv.Error):  # a cell that does not convert, or a file _csv_rows must read
+        return None
     return readings
 
 

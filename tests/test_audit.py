@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import io
 import json
-from datetime import datetime
+from datetime import datetime, timezone
 from importlib import resources
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iotlog import cli
 from iotlog.enrich import AuditRecord, enrich
@@ -173,6 +175,40 @@ def test_each_line_is_the_json_dumps_of_its_row():
             (None, texts[0], at(9))[n % 3],
         )
         for n, value in enumerate(values)
+    ]
+    handle = io.StringIO()
+    cli._write_audit(handle, records, index)
+    expected = []
+    for record in records:
+        row = reference_audit_row(record)
+        row["readings"] = [readings.index(r) for r in record.readings]
+        expected.append(json.dumps(row) + "\n")
+    assert handle.getvalue() == "".join(expected)
+
+
+# Values whose JSON json.dumps spells in its own way: non-finite floats, -0.0,
+# floats that repr in exponent form, ints at the 64-bit bounds, datetimes,
+# and strings that need escapes.
+audit_values = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 1e-7]),
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([-(2**63), 2**63 - 1]),
+    st.booleans(),
+    st.datetimes(timezones=st.just(timezone.utc)),
+    st.text(),
+    st.sampled_from(['q"uote\\', "tab\tnew\nline", "caf\u00e9 \U0001f69a", "\x00"]),
+)
+
+
+@given(st.lists(st.tuples(audit_values, st.none() | audit_values), min_size=1, max_size=4))
+def test_each_line_is_the_json_dumps_of_its_row_on_drawn_values(values_and_replaced):
+    readings = tuple(reading("s", at(t), 1.0) for t in range(3))
+    index = build_index([SensorStream("s", "temperature", readings)])
+    records = [
+        AuditRecord("case_attribute", "c1", "b", "s", "k", value, readings[: n % 4],
+                    n % 2 or None, replaced)
+        for n, (value, replaced) in enumerate(values_and_replaced)
     ]
     handle = io.StringIO()
     cli._write_audit(handle, records, index)

@@ -534,6 +534,7 @@ _ENRICH_INPUTS = ["log.xes", "plan.json"] + sorted(
      for source in bundled_plan("scenario2").sources}
 )
 _LOCATED = re.compile(r"\((?:row|line) \d+|line \d+ column \d+|^error: /")  # or a file's path
+_NAMED = re.compile(r"\b(?:binding|rule|case) '")  # a binding, rule or case id, quoted
 
 
 # Mutations that once reached an internal error, with the answer each gets now:
@@ -587,10 +588,18 @@ def test_a_mutated_enrich_input_is_answered_or_rejected_with_a_location(
     small_scenario, tmp_path_factory, name, edits
 ):
     out = tmp_path_factory.getbasetemp() / "mutated"
-    code, _, err = _enrich_mutated(small_scenario, out, name, edits)
+    code, out_text, err = _enrich_mutated(small_scenario, out, name, edits)
     assert code in (0, 1, 2) and "internal error" not in err, err
     if code == 2:
         assert str(small_scenario) in err or _LOCATED.search(err), err
+    if code == 1:
+        # Each row names a plan JSON path or a case; an error, a binding, rule or case.
+        for line in out_text.splitlines():
+            row = json.loads(line)
+            assert (
+                row.get("path", "").startswith("/") or "case_id" in row
+                or _NAMED.search(row.get("error", ""))
+            ), out_text
 
 
 # --- query --------------------------------------------------------------------

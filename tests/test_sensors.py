@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from iotlog import sensors
 from iotlog.plan import IoTContextCategory, SourceDecl
 from iotlog.sensors import (
     SensorIngestError,
@@ -27,7 +28,7 @@ from iotlog.sensors import (
     build_index,
     load_stream,
 )
-from iotlog.timeutil import parse_timestamp
+from iotlog.timeutil import format_timestamp, parse_timestamp
 
 from conftest import T0, at, reading
 
@@ -255,12 +256,16 @@ def test_load_jsonl_uses_native_types(tmp_path):
     assert stream.readings[1].subject_key == "LPN-1"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_equal_strings_of_one_file_are_one_object(tmp_path, fmt):
+# A CSV's timestamps in format_timestamp's layout are read by columns, others by rows.
+@pytest.mark.parametrize("fmt, stamp", [
+    pytest.param("csv", "2024-03-01T12:00:{:02}Z", id="csv"),
+    pytest.param("csv", "2024-03-01T12:00:{:02}.000+00:00", id="csv-columns"),
+    pytest.param("jsonl", "2024-03-01T12:00:{:02}Z", id="jsonl"),
+])
+def test_equal_strings_of_one_file_are_one_object(tmp_path, fmt, stamp):
     fields = ("timestamp", "value", "sensor_id", "unit", "subject_key")
     rows = [
-        (f"2024-03-01T12:00:{i:02}Z", ("open", "shut")[i % 2], f"gate-{i % 2}", "state",
-         f"LPN-{i % 3}")
+        (stamp.format(i), ("open", "shut")[i % 2], f"gate-{i % 2}", "state", f"LPN-{i % 3}")
         for i in range(12)
     ]
     if fmt == "csv":
@@ -633,12 +638,24 @@ def reference_load_csv(path: Path, source: SourceDecl) -> SensorStream:
 
 
 # Any cell may hold any of CELLS; a column mostly draws from its own good cells.
+# Near format_timestamp's layout: the column reader must leave each to the rows.
+NEAR_LAYOUT = [
+    "2024-13-01T12:00:00.000+00:00", "2024-03-01T24:00:00.000+00:00",
+    "0000-03-01T12:00:00.000+00:00", "2024-03-\u0660\u0661T12:00:00.000+00:00",
+    "2024-03-01T12:00:00.000000+00:00", "2024-03-01T12:00:00.000+01:00",
+    " 2024-03-01T12:00:00.000+00:00",
+]
 CELLS = [
     "", "  ", "2024-03-01T12:00:00+00:00", "20240301T1200", "1.5", "nan", "true", "yes",
-    "4.3", "200", "LPN-1", "x\ny", "a\r\nb", "p,q", 'say "hi"', "\x01",
+    "4.3", "200", "LPN-1", "x\ny", "a\r\nb", "p,q", 'say "hi"', "\x01", *NEAR_LAYOUT,
 ]
 GOOD = {
-    "timestamp": ["2024-03-01T12:00:00Z", "2024-03-01 12:00", "2024-03-01T10:00:00.123456-02:00"],
+    "timestamp": [
+        "2024-03-01T12:00:00Z", "2024-03-01 12:00", "2024-03-01T10:00:00.123456-02:00",
+        # The layout format_timestamp writes, which the column reader converts.
+        "2024-03-01T12:00:00.000+00:00", "2024-02-29T23:59:59.999+00:00",
+        "0001-01-01T00:00:00.000+00:00",
+    ],
     "lon": ["4.3", "-71"],
     "lat": ["51.9", "0"],
 }
@@ -692,6 +709,32 @@ def structured_csv(value_type: str):
     )
 
 
+def columnar_csv(value_type: str):
+    """Files the column reader converts, or the same with one cell of CELLS in it."""
+
+    def text(header_rows_and_edit):
+        header, rows, edit = header_rows_and_edit
+        if rows and edit:
+            row_at, column_at, cell = edit
+            rows[row_at % len(rows)][column_at % len(header)] = cell
+        lines = [_csv_line([(name, False) for name in header])]
+        lines += [_csv_line([(cell, False) for cell in row]) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def rows(header):
+        pools = [
+            GOOD["timestamp"][3:] if name == "timestamp"
+            else GOOD_VALUES[value_type] if name == "value"
+            else GOOD.get(name, TEXT[1:])
+            for name in header
+        ]
+        row = st.tuples(*map(st.sampled_from, pools)).map(list)
+        edit = st.none() | st.tuples(st.integers(0, 7), st.integers(0, 9), st.sampled_from(CELLS))
+        return st.tuples(st.just(header), st.lists(row, max_size=8), edit)
+
+    return headers.flatmap(rows).map(text)
+
+
 # Free text after a good header: stray quotes, lone CRs, unterminated fields.
 raw_csv = st.text(alphabet='0123456789-:T .,"\n\rZaelu', max_size=80).map(
     lambda body: "timestamp,value,lon,lat,sensor_id\n" + body
@@ -708,7 +751,8 @@ def _outcome(load):
 
 value_types_and_csv = st.sampled_from(["decimal", "string", "boolean"]).flatmap(
     lambda value_type: st.tuples(
-        st.just(value_type), st.one_of(structured_csv(value_type), raw_csv)
+        st.just(value_type),
+        st.one_of(structured_csv(value_type), raw_csv, columnar_csv(value_type)),
     )
 )
 
@@ -725,9 +769,102 @@ value_types_and_csv = st.sampled_from(["decimal", "string", "boolean"]).flatmap(
 def test_load_csv_matches_the_dictreader_reference(value_type_and_text):
     value_type, text = value_type_and_text
     source = decl(value_type=value_type)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        # Chunks of 2-3 rows, so a blank line, a short row or the failing row
+        # can fall in a later chunk than the first.
+        patch.setattr(sensors, "_CHUNK", 2 + len(text) % 2)
         path = Path(tmp) / source.path
         path.write_bytes(text.encode("utf-8"))
         got = _outcome(lambda: load_stream(source, tmp))
         expected = _outcome(lambda: reference_load_csv(path, source))
     assert got == expected
+
+
+_CANONICAL_HEADER = ["timestamp", "sensor_id", "value", "unit", "subject_key", "lon", "lat"]
+
+
+def _canonical_rows(rows: int, value_type: str = "decimal") -> list[list[str]]:
+    """Rows in the layout scenario.write_stream_csv writes, every column present."""
+    values = {
+        "decimal": lambda i: repr(i / 8),
+        "string": lambda i: ("open", "shut")[i % 2],
+        "boolean": lambda i: ("true", "0", "FALSE")[i % 3],
+    }[value_type]
+    return [
+        [format_timestamp(T0 + timedelta(seconds=7 * i, milliseconds=i % 1000)), f"probe-{i % 3}",
+         values(i), "kg", f"LPN-{i % 5}", f"4.{i}", f"-51.{i}"]
+        for i in range(rows)
+    ]
+
+
+def _csv_text(rows: list[list[str]], header: list[str] = _CANONICAL_HEADER) -> str:
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_file_of_one_chunk_or_one_more_row_is_read_by_columns_alone(tmp_path, extra):
+    rows = sensors._CHUNK + extra
+    path = tmp_path / "s1.csv"
+    path.write_text(_csv_text(_canonical_rows(rows)))
+    expected = _outcome(lambda: reference_load_csv(path, decl()))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sensors, "_csv_rows", None)  # the row reader is not called
+        got = _outcome(lambda: load_stream(decl(), tmp_path))
+    assert got == expected and len(got[1]) == rows
+
+
+# One cell of each kind the column reader must not take as it is. None drops
+# the column from the header and every row; a "row" cell replaces a whole line.
+DOUBTS = [
+    *(("decimal", "timestamp", cell) for cell in NEAR_LAYOUT + [
+        "2024-03-01T12:00:00.123456+00:00", "2024-03-01T12:00:00.000Z",
+        "2024-03-01T12:00:00.000-00:00", "2024-03-01T12:00:00.000+00:00 ", "",
+    ]),
+    ("decimal", "value", ""), ("decimal", "value", "nan"), ("decimal", "value", "-inf"),
+    ("decimal", "value", "x"), ("decimal", "value", " 2.5 "),
+    ("string", "value", ""), ("string", "value", "tab\there"), ("string", "value", "\x01"),
+    ("boolean", "value", ""), ("boolean", "value", "yes"), ("boolean", "value", " True "),
+    ("decimal", "sensor_id", ""), ("decimal", "unit", ""), ("decimal", "subject_key", ""),
+    ("decimal", "lon", ""), ("decimal", "lon", "181"), ("decimal", "lon", "nan"),
+    ("decimal", "lat", "-90.5"), ("decimal", "lat", "inf"), ("decimal", "lat", "1e999"),
+    ("decimal", "lat", None), ("decimal", "lon", None), ("decimal", "unit", None),
+    ("decimal", "row", ""), ("decimal", "row", "2024-03-01T12:00:00.000+00:00,probe-1,1.5"),
+    ("decimal", "row", "2024-03-01T12:00:00.000+00:00,p,1.5,kg,LPN-1,4.3,51.9,extra"),
+]
+
+
+@pytest.mark.parametrize("value_type, column, cell", DOUBTS)
+def test_a_cell_in_doubt_in_a_later_chunk_reads_like_the_reference(
+    tmp_path, value_type, column, cell
+):
+    header, rows = list(_CANONICAL_HEADER), _canonical_rows(9, value_type)
+    lines = None
+    if cell is None:
+        at = header.index(column)
+        header.pop(at)
+        for row in rows:
+            row.pop(at)
+    elif column == "row":
+        lines = [",".join(row) for row in rows]
+        lines[6] = cell
+    else:
+        rows[6][header.index(column)] = cell
+    text = _csv_text(rows, header) if lines is None else "\n".join([",".join(header), *lines]) + "\n"
+    path = tmp_path / "s1.csv"
+    path.write_text(text, encoding="utf-8")
+    source = decl(value_type=value_type)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sensors, "_CHUNK", 4)  # the changed row is in the second chunk
+        got = _outcome(lambda: load_stream(source, tmp_path))
+    assert got == _outcome(lambda: reference_load_csv(path, source))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_bad_last_row_of_a_chunk_or_past_it_is_named_by_the_row_reader(tmp_path, extra):
+    rows = sensors._CHUNK + extra
+    lines = _canonical_rows(rows)
+    lines[-1][2] = "x"
+    (tmp_path / "s1.csv").write_text(_csv_text(lines))
+    with pytest.raises(SensorIngestError, match=r"could not convert") as err:
+        load_stream(decl(), tmp_path)
+    assert err.value.row == rows + 1  # the header is row 1
