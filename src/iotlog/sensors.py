@@ -49,6 +49,11 @@ class UnknownSourceError(LookupError):
         self.source_id = source_id
 
 
+def _in_range(lon: float, lat: float) -> bool:
+    """Whether (lon, lat) lies on the globe, in decimal degrees; NaN does not."""
+    return -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0
+
+
 @dataclass(frozen=True, slots=True)
 class SensorReading:
     """One timestamped measurement from one sensor.
@@ -79,7 +84,7 @@ class SensorReading:
             raise TypeError(f"unsupported reading value type {type(self.value).__name__}")
         if self.location is not None:
             lon, lat = self.location
-            if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+            if not _in_range(lon, lat):
                 raise ValueError(f"location out of range: {self.location}")
             if type(self.location) is not tuple or type(lon) is not float or type(lat) is not float:
                 object.__setattr__(self, "location", (float(lon), float(lat)))
@@ -190,6 +195,10 @@ def _is_json_number(raw) -> bool:
     return isinstance(raw, (int, float)) and not isinstance(raw, bool)
 
 
+# The CSV boolean literals, after strip() and lower().
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+
+
 def _parse_value(raw, value_type: str, *, from_json: bool) -> ReadingValue:
     if value_type == "decimal":
         if from_json and not _is_json_number(raw):
@@ -203,12 +212,10 @@ def _parse_value(raw, value_type: str, *, from_json: bool) -> ReadingValue:
             if not isinstance(raw, bool):
                 raise ValueError(f"expected a boolean, got {raw!r}")
             return raw
-        lowered = str(raw).strip().lower()
-        if lowered in ("true", "1"):
-            return True
-        if lowered in ("false", "0"):
-            return False
-        raise ValueError(f"bad boolean literal {raw!r}")
+        value = _BOOLEANS.get(str(raw).strip().lower())
+        if value is None:
+            raise ValueError(f"bad boolean literal {raw!r}")
+        return value
     if from_json and not isinstance(raw, str):
         raise ValueError(f"expected a string, got {raw!r}")
     if not _writable(raw):
@@ -253,7 +260,7 @@ def _reading_from_fields(
             _coordinate("lon", lon, from_json=from_json),
             _coordinate("lat", lat, from_json=from_json),
         )
-        if not (-180.0 <= location[0] <= 180.0 and -90.0 <= location[1] <= 90.0):
+        if not _in_range(*location):
             raise ValueError(f"location out of range: {location}")
     sensor_id = source.source_id if sensor_id in _ABSENT else str(sensor_id)
     unit = None if unit in _ABSENT else str(unit)
@@ -356,24 +363,22 @@ _ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
 # so this does not rely on fromisoformat to refuse it.
 _LATE_HOUR = re.compile(rb"T(?:2[4-9]|[3-9])")
 _fromisoformat = datetime.fromisoformat
-_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+_NOWHERE = ("", "")
 _consume = deque(maxlen=0).extend
 
 
 def _csv_columns(reader, width: int, at: list, source: SourceDecl) -> list[SensorReading] | None:
-    """The rows left in `reader`, a chunk at a time; None at the first cell in doubt.
+    """The rows left in `reader`, a chunk at a time; None if a row is bad.
 
     `at` holds the column of each of _FIELDS, None for an absent one. Each
-    chunk is transposed and each column converted in one C-level loop. Any
-    chunk these checks do not take as it is -- a row of another width, an
-    empty cell, a timestamp in another layout than format_timestamp's, a
-    value that does not convert -- makes this return None, and the caller
-    reads the file again with _csv_rows, which alone says what a row means
-    and locates a bad one. A blank line is skipped, as _csv_rows skips it.
+    chunk is transposed and each column converted in one C-level loop, and
+    a cell is read as _csv_rows reads it: a blank line is skipped, a short
+    row's missing fields and an empty optional cell are absent. So every
+    file that loads is read here alone. At the first cell that does not
+    convert this returns None, and the caller reads the file again with
+    _csv_rows, which alone says what a row means and locates a bad one.
     """
     stamp_at, value_at, id_at, unit_at, subject_at, lon_at, lat_at = at
-    if (lon_at is None) is not (lat_at is None):
-        return None  # lon without lat, or lat without lon: _csv_rows says which rows fail
     share = {}.setdefault
     source_id = share(source.source_id, source.source_id)
     texts = (
@@ -388,63 +393,96 @@ def _csv_columns(reader, width: int, at: list, source: SourceDecl) -> list[Senso
             if not rows:
                 continue
             if set(map(len, rows)) != {width}:
-                return None
+                # Extra fields are ignored; fields past a row's end are absent.
+                rows = [row[:width] + [""] * (width - len(row)) for row in rows]
             columns = list(zip(*rows))
             n = len(rows)
 
-            # Each timestamp has format_timestamp's layout. The layout has one
-            # '+', so n matches of "+00:00" mean that every offset is zero.
-            stamps = columns[stamp_at]
-            text = "\n".join(stamps).encode("ascii")
-            if (
-                text.translate(_ZERO_DIGITS) != b"\n".join(repeat(_LAYOUT, n))
-                or text.count(b"+00:00") != n
-                or _LATE_HOUR.search(text)
-            ):
-                return None
-            # fromisoformat refuses an impossible date or time, and gives the
-            # timezone.utc singleton for +00:00, so each result is normal.
-            timestamps = list(map(_fromisoformat, stamps))
-
-            values = columns[value_at]
-            if value_type == "decimal":
-                values = list(map(float, values))
-                if not all(map(math.isfinite, values)):
-                    return None
-            elif value_type == "boolean":
-                values = list(map(_BOOLEANS.get, map(str.lower, map(str.strip, values))))
-                if None in values:
-                    return None
-            elif "" in values or not all(map(str.isprintable, values)):
-                return None
-            else:
-                values = map(share, values, values)
-
-            if any(i is not None and "" in columns[i] for _, i, _ in texts):
-                return None
+            timestamps = _chunk_timestamps(columns[stamp_at])
+            values = _chunk_values(columns[value_at], value_type, share)
             locations = repeat(None)
-            if lon_at is not None:
-                lons = list(map(float, columns[lon_at]))
-                lats = list(map(float, columns[lat_at]))
-                if not (
-                    all(map(math.isfinite, lons)) and all(map(math.isfinite, lats))
-                    and -180.0 <= min(lons) and max(lons) <= 180.0
-                    and -90.0 <= min(lats) and max(lats) <= 90.0
-                ):
-                    return None
-                locations = zip(lons, lats)
+            if lon_at is not None or lat_at is not None:
+                nowhere = ("",) * n
+                locations = _chunk_locations(
+                    nowhere if lon_at is None else columns[lon_at],
+                    nowhere if lat_at is None else columns[lat_at],
+                )
 
             built = list(map(_new, repeat(SensorReading, n)))
             _consume(map(_set_timestamp, built, timestamps))
             _consume(map(_set_value, built, values))
             for setter, i, absent in texts:
-                cells = repeat(absent) if i is None else map(share, columns[i], columns[i])
+                if i is None:
+                    cells = repeat(absent)
+                else:
+                    cells = columns[i]
+                    if "" in cells:
+                        cells = list(map({"": absent}.get, cells, cells))
+                    cells = map(share, cells, cells)
                 _consume(map(setter, built, cells))
             _consume(map(_set_location, built, locations))
             readings += built
     except (ValueError, csv.Error):  # a cell that does not convert, or a file _csv_rows must read
         return None
     return readings
+
+
+def _chunk_timestamps(stamps: tuple[str, ...]) -> list[datetime]:
+    """A chunk's timestamps; ValueError if parse_timestamp refuses one of them.
+
+    Cells that all have format_timestamp's layout are converted by
+    fromisoformat alone; the layout has one '+', so n matches of "+00:00"
+    mean that every offset is zero. fromisoformat refuses an impossible
+    date or time, and gives the timezone.utc singleton for +00:00, so each
+    result is normal. Any other chunk goes through parse_timestamp.
+    """
+    n = len(stamps)
+    text = "\n".join(stamps).encode("ascii", "replace")
+    if (
+        text.translate(_ZERO_DIGITS) == b"\n".join(repeat(_LAYOUT, n))
+        and text.count(b"+00:00") == n
+        and not _LATE_HOUR.search(text)
+    ):
+        return list(map(_fromisoformat, stamps))
+    return list(map(parse_timestamp, stamps))
+
+
+def _chunk_values(values: tuple[str, ...], value_type: str, share) -> Iterable[ReadingValue]:
+    """A chunk's values as _parse_value reads them; ValueError if one is bad."""
+    if value_type == "decimal":
+        values = list(map(float, values))
+        if not all(map(math.isfinite, values)):
+            raise ValueError("a decimal value is not finite")
+        return values
+    if value_type == "boolean":
+        values = list(map(_BOOLEANS.get, map(str.lower, map(str.strip, values))))
+        if None in values:
+            raise ValueError("a bad boolean literal")
+        return values
+    if "" in values or not (all(map(str.isprintable, values)) or all(map(_writable, values))):
+        raise ValueError("a string value is empty or holds what XML cannot carry")
+    return map(share, values, values)
+
+
+def _chunk_locations(lons: tuple[str, ...], lats: tuple[str, ...]) -> list:
+    """A chunk's locations, None where both cells are empty; ValueError if one is bad."""
+    if "" not in lons and "" not in lats:
+        return _located(lons, lats)
+    pairs = list(zip(lons, lats))
+    given = [pair for pair in pairs if pair != _NOWHERE]
+    located = iter(_located(*zip(*given)) if given else ())
+    return [None if pair == _NOWHERE else next(located) for pair in pairs]
+
+
+def _located(lons: tuple[str, ...], lats: tuple[str, ...]) -> list[tuple[float, float]]:
+    lons, lats = list(map(float, lons)), list(map(float, lats))
+    # min and max pass over a NaN, which isfinite refuses.
+    if not (
+        all(map(math.isfinite, lons)) and all(map(math.isfinite, lats))
+        and _in_range(min(lons), min(lats)) and _in_range(max(lons), max(lats))
+    ):
+        raise ValueError("a location is out of range")
+    return list(zip(lons, lats))
 
 
 def _load_jsonl(path: Path, source: SourceDecl) -> list[SensorReading]:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from iotlog import sensors
 from iotlog.plan import IoTContextCategory, SourceDecl
+from iotlog.scenario import write_stream_csv
 from iotlog.sensors import (
     SensorIngestError,
     SensorReading,
@@ -773,11 +774,29 @@ def test_load_csv_matches_the_dictreader_reference(value_type_and_text):
         # Chunks of 2-3 rows, so a blank line, a short row or the failing row
         # can fall in a later chunk than the first.
         patch.setattr(sensors, "_CHUNK", 2 + len(text) % 2)
+        rows_read = _count_row_reads(patch)
         path = Path(tmp) / source.path
         path.write_bytes(text.encode("utf-8"))
         got = _outcome(lambda: load_stream(source, tmp))
         expected = _outcome(lambda: reference_load_csv(path, source))
     assert got == expected
+    assert _failed(expected) or not rows_read  # the row reader reads only a file that fails
+
+
+def _count_row_reads(patch: pytest.MonkeyPatch) -> list:
+    """Patch sensors._csv_rows to note each call in the list returned."""
+    calls, read_rows = [], sensors._csv_rows
+
+    def counted(*args):
+        calls.append(args)
+        return read_rows(*args)
+
+    patch.setattr(sensors, "_csv_rows", counted)
+    return calls
+
+
+def _failed(outcome) -> bool:
+    return isinstance(outcome[0], type)
 
 
 _CANONICAL_HEADER = ["timestamp", "sensor_id", "value", "unit", "subject_key", "lon", "lat"]
@@ -813,8 +832,10 @@ def test_a_file_of_one_chunk_or_one_more_row_is_read_by_columns_alone(tmp_path, 
     assert got == expected and len(got[1]) == rows
 
 
-# One cell of each kind the column reader must not take as it is. None drops
-# the column from the header and every row; a "row" cell replaces a whole line.
+# One cell of each kind outside format_timestamp's layout or the common case:
+# a file that loads is read by columns alone, one that fails again by rows.
+# None drops the column from the header and every row; a "row" cell replaces
+# a whole line.
 DOUBTS = [
     *(("decimal", "timestamp", cell) for cell in NEAR_LAYOUT + [
         "2024-03-01T12:00:00.123456+00:00", "2024-03-01T12:00:00.000Z",
@@ -855,8 +876,43 @@ def test_a_cell_in_doubt_in_a_later_chunk_reads_like_the_reference(
     source = decl(value_type=value_type)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sensors, "_CHUNK", 4)  # the changed row is in the second chunk
+        rows_read = _count_row_reads(patch)
         got = _outcome(lambda: load_stream(source, tmp_path))
-    assert got == _outcome(lambda: reference_load_csv(path, source))
+    expected = _outcome(lambda: reference_load_csv(path, source))
+    assert got == expected
+    assert bool(rows_read) is _failed(expected)
+
+
+@pytest.mark.parametrize("lon, fails", [("", False), ("4.3", True)])
+def test_a_lon_column_without_lat_loads_only_while_it_is_empty(tmp_path, lon, fails):
+    header = _CANONICAL_HEADER[:-1]
+    rows = [row[:-1] for row in _canonical_rows(9)]
+    for row in rows:
+        row[-1] = ""
+    rows[6][-1] = lon
+    path = tmp_path / "s1.csv"
+    path.write_text(_csv_text(rows, header))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sensors, "_CHUNK", 4)
+        rows_read = _count_row_reads(patch)
+        got = _outcome(lambda: load_stream(decl(), tmp_path))
+    expected = _outcome(lambda: reference_load_csv(path, decl()))
+    assert got == expected and _failed(got) is fails and bool(rows_read) is fails
+
+
+def test_a_stream_written_with_gaps_is_read_back_by_columns_alone(tmp_path):
+    # write_stream_csv writes "" for a reading's absent unit, subject key or location.
+    readings = [
+        SensorReading("probe", T0 + timedelta(seconds=i), i / 4,
+                      unit="kg" if i % 3 else None, subject_key=f"LPN-{i}" if i % 2 else None,
+                      location=(4.25, -51.5) if i % 5 else None)
+        for i in range(11)
+    ]
+    write_stream_csv(SensorStream("s1", "temperature", tuple(readings)), tmp_path / "s1.csv")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sensors, "_CHUNK", 4)
+        patch.setattr(sensors, "_csv_rows", None)  # the row reader is not called
+        assert load_stream(decl(), tmp_path).readings == tuple(readings)
 
 
 @pytest.mark.parametrize("extra", [0, 1])
