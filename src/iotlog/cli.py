@@ -14,8 +14,10 @@ import gc
 import json
 import math
 import sys
+from collections.abc import Mapping
 from datetime import datetime
 from importlib import import_module
+from operator import is_
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -188,7 +190,7 @@ class _Encoded(dict):
         return encoded
 
 
-def _json_text(value, text: _Encoded) -> str:
+def _json_text(value, text: _Encoded, times: Mapping[datetime, str]) -> str:
     """The JSON of an audit value as json.dumps writes it; a datetime is its format_timestamp."""
     kind = type(value)
     if kind is str:
@@ -201,53 +203,90 @@ def _json_text(value, text: _Encoded) -> str:
     if kind is int:
         return int.__repr__(value)
     if isinstance(value, datetime):
-        return f'"{format_timestamp(value)}"'  # its characters need no escape
+        return f'"{times.get(value) or format_timestamp(value)}"'  # no character needs an escape
     return json.dumps(value)
 
 
-def _write_audit(handle, audit, index: StreamIndex) -> None:
+_AUDIT_BATCH = 512  # lines per write
+
+
+def _write_audit(
+    handle, audit, index: StreamIndex, *, _times: Mapping[datetime, str] | None = None
+) -> None:
     """Write one JSON object per audit record, in the keys of docs/audit-format.md.
 
     A record's readings are written as positions into its source's stream:
     position p is `index.stream(source_id).readings[p]`. Positions are found
     by identity, which holds because the index keeps every reading alive for
     the whole run; a stream's map is built the first time a record needs it.
+    Readings that are the very objects of one stretch of the stream, as a
+    span_overlap correlation's are, are written as that stretch. Identity,
+    not equality: identical CSV rows are equal readings at distinct positions.
     Each distinct kind, case id, binding id, source id, key and string value
-    is encoded once per call, and other values without json.dumps.
+    is encoded once per call, and other values without json.dumps. A
+    datetime's text is taken from `_times` when it is there, as it is for
+    the timestamps the enrich command formats for both writers. Lines are
+    written _AUDIT_BATCH at a time.
     """
     text = _Encoded()
-    positions: dict[str, dict[int, int]] = {}
+    times = {} if _times is None else _times
+    streams: dict[str, tuple[tuple, dict[int, int]]] = {}
+    batch: list[str] = []
     for record in audit:
         source_id = record.source_id
-        at = positions.get(source_id)
-        if at is None:
-            readings = index.stream(source_id).readings
-            at = positions[source_id] = {id(r): p for p, r in enumerate(readings)}
+        readings = record.readings
+        if not readings:
+            positions = ""
+        else:
+            stream = streams.get(source_id)
+            if stream is None:
+                all_readings = index.stream(source_id).readings
+                stream = streams[source_id] = (
+                    all_readings,
+                    {id(r): p for p, r in enumerate(all_readings)},
+                )
+            all_readings, at = stream
+            lo = at[id(readings[0])]
+            hi = lo + len(readings)
+            if len(readings) == 1:
+                positions = str(lo)
+            elif hi <= len(all_readings) and all(map(is_, all_readings[lo:hi], readings)):
+                positions = ", ".join(map(str, range(lo, hi)))
+            else:
+                positions = ", ".join([str(at[id(r)]) for r in readings])
         line = (
             f'{{"kind": {text[record.kind]}, "case_id": {text[record.case_id]}, '
             f'"binding_id": {text[record.binding_id]}, "source_id": {text[source_id]}, '
-            f'"key": {text[record.key]}, "value": {_json_text(record.value, text)}, '
-            f'"readings": [{", ".join([str(at[id(r)]) for r in record.readings])}]'
+            f'"key": {text[record.key]}, "value": {_json_text(record.value, text, times)}, '
+            f'"readings": [{positions}]'
         )
         if record.event_index is not None:
             line += f', "event_index": {record.event_index}'
         if record.replaced is not None:
-            line += f', "replaced": {_json_text(record.replaced, text)}'
-        handle.write(line + "}\n")
+            line += f', "replaced": {_json_text(record.replaced, text, times)}'
+        batch.append(line + "}\n")
+        if len(batch) == _AUDIT_BATCH:
+            handle.write("".join(batch))
+            batch.clear()
+    handle.write("".join(batch))
 
 
 def _write_enrichment(result: EnrichmentResult, index: StreamIndex, out_dir: str) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # A derived event's timestamp is written twice, as the event's and as
+    # its audit record's value: each such instant is formatted once, here.
+    instants = [record.value for record in result.audit if record.kind == "derived_event"]
+    times = dict(zip(instants, map(format_timestamp, instants)))
     log_path = out / "enriched.xes"
-    log_path.write_bytes(write_xes(result.log))
+    log_path.write_bytes(write_xes(result.log, _times=times))
     report_path = out / "report.json"
     report_path.write_text(
         json.dumps(result.report.to_dict(), indent=2) + "\n", encoding="utf-8"
     )
     audit_path = out / "audit.jsonl"
     with audit_path.open("w", encoding="utf-8") as handle:
-        _write_audit(handle, result.audit, index)
+        _write_audit(handle, result.audit, index, _times=times)
     return {
         "log": str(log_path),
         "report": str(report_path),

@@ -17,7 +17,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from operator import attrgetter
+from itertools import chain, compress
+from operator import attrgetter, gt
 
 from .plan import (
     Aggregator,
@@ -39,10 +40,14 @@ from .xes import (
     Log,
     Trace,
     Violation,
+    _new,
     _normalize_value,
     _parsed_attribute,
     _parsed_event,
     _parsed_trace,
+    _set_activity,
+    _set_attributes,
+    _set_timestamp,
     _unwritable,
     _writable,
     validate_log,
@@ -110,6 +115,39 @@ class AuditRecord:
     readings: tuple[SensorReading, ...] = ()
     event_index: int | None = None
     replaced: AttrValue | None = None
+
+
+# AuditRecord checks nothing, but its frozen constructor sets each field
+# through object.__setattr__. The kernel builds its records through
+# _audit_record, which calls the slots' own setters, at about half the cost.
+(
+    _set_kind, _set_case_id, _set_binding_id, _set_source_id, _set_record_key,
+    _set_record_value, _set_readings, _set_event_index, _set_replaced,
+) = (getattr(AuditRecord, name).__set__ for name in AuditRecord.__slots__)
+
+
+def _audit_record(
+    kind: str,
+    case_id: str,
+    binding_id: str,
+    source_id: str,
+    key: str,
+    value: AttrValue,
+    readings: tuple[SensorReading, ...],
+    event_index: int | None = None,
+    replaced: AttrValue | None = None,
+) -> AuditRecord:
+    record = _new(AuditRecord)
+    _set_kind(record, kind)
+    _set_case_id(record, case_id)
+    _set_binding_id(record, binding_id)
+    _set_source_id(record, source_id)
+    _set_record_key(record, key)
+    _set_record_value(record, value)
+    _set_readings(record, readings)
+    _set_event_index(record, event_index)
+    _set_replaced(record, replaced)
+    return record
 
 
 @dataclass(frozen=True)
@@ -361,30 +399,40 @@ def derive_events(
     carries a derived_from attribute naming the rule, which is also what
     lets re-enrichment recognise it as already present.
 
-    The rule's id and activity are checked once per call, and its events are
-    then built without the checks of Event, which they pass: a reading's
-    timestamp is normal.
+    The rule's id and activity are checked once per call. The values are
+    tested, and the runs found, by C-level maps over the whole correlation;
+    the events are then built without the checks of Event, which they pass:
+    a reading's timestamp is normal, and the one mark needs no sort.
     """
     readings, warning = correlate_trace(
         rule.correlation, index, rule.source_id, events, trace_attrs, case_id
     )
-    derived: list[tuple[Event, SensorReading]] = []
     marks = (Attribute(DERIVED_FROM_KEY, rule.rule_id),)  # one mark shared by the rule's events
     activity = rule.activity
     if not _writable(activity):
         raise _unwritable(f"event activity {activity!r}", activity)
-    in_run = False
-    for position, reading in enumerate(readings):
-        if not _is_number(reading.value):
-            raise DerivationError(
-                f"rule {rule.rule_id!r}: reading {position} in {rule.source_id!r} is not numeric"
-            )
-        if rule.condition.holds(float(reading.value)):
-            if not in_run:
-                in_run = True
-                derived.append((_parsed_event(activity, reading.timestamp, marks), reading))
-        else:
-            in_run = False
+    values = list(map(_value, readings))
+    if not set(map(type, values)) <= {float}:
+        # Otherwise convert them one by one, and name the first that is not a number.
+        numbers = []
+        for position, value in enumerate(values):
+            if not _is_number(value):
+                raise DerivationError(
+                    f"rule {rule.rule_id!r}: reading {position} in {rule.source_id!r} "
+                    f"is not numeric"
+                )
+            numbers.append(float(value))
+        values = numbers
+    flags = list(map(rule.condition.predicate(), values))
+    # A run starts where a reading holds and the one before it does not.
+    starts = compress(range(len(flags)), map(gt, flags, chain((False,), flags)))
+    derived: list[tuple[Event, SensorReading]] = []
+    for trigger in map(readings.__getitem__, starts):
+        event = _new(Event)
+        _set_activity(event, activity)
+        _set_timestamp(event, trigger.timestamp)
+        _set_attributes(event, marks)
+        derived.append((event, trigger))
     return derived, warning
 
 
@@ -414,29 +462,32 @@ def _enrich_trace(
     # Step 1: event derivation rules, all against the original span. A
     # candidate whose (activity, timestamp, rule) is already in the trace,
     # or was derived just before it, is dropped.
-    candidates: list[tuple[EventDerivationRule, Event, SensorReading]] = []
+    derived: list[tuple[EventDerivationRule, list[tuple[Event, SensorReading]]]] = []
     for rule in plan.event_rules:
-        derived, warning = derive_events(rule, index, events, trace_attrs, case_id)
+        pairs, warning = derive_events(rule, index, events, trace_attrs, case_id)
         if warning:
             warnings.append(warning)
-        candidates += [(rule, ev, trigger) for ev, trigger in derived]
-    if candidates:
+        if pairs:
+            derived.append((rule, pairs))
+    if derived:
         seen = {(ev.activity, ev.timestamp, ev.get(DERIVED_FROM_KEY)) for ev in events}
-        inserted = []
-        for rule, ev, trigger in candidates:
-            key = (ev.activity, ev.timestamp, rule.rule_id)
-            if key not in seen:
-                seen.add(key)
-                inserted.append((rule, ev, trigger))
+        inserted: list[tuple[EventDerivationRule, Event, SensorReading]] = []
+        for rule, pairs in derived:
+            activity, rule_id = rule.activity, rule.rule_id
+            for ev, trigger in pairs:
+                key = (activity, ev.timestamp, rule_id)
+                if key not in seen:
+                    seen.add(key)
+                    inserted.append((rule, ev, trigger))
         merged = events + [ev for _, ev, _ in inserted]
         # Stable: on equal timestamps original events come first, then
         # derived ones in rule order, then in stream order.
-        order = sorted(range(len(merged)), key=lambda i: merged[i].timestamp)
-        events = [merged[i] for i in order]
-        position = {i: pos for pos, i in enumerate(order)}
+        order = sorted(range(len(merged)), key=list(map(_timestamp, merged)).__getitem__)
+        events = list(map(merged.__getitem__, order))
+        position = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
         for i, (rule, ev, trigger) in enumerate(inserted, start=len(trace.events)):
             audit.append(
-                AuditRecord(
+                _audit_record(
                     "derived_event", case_id, rule.rule_id, rule.source_id, ev.activity,
                     ev.timestamp, (trigger,), position[i],
                 )
@@ -498,7 +549,7 @@ def _enrich_trace(
             else:
                 written[pos] = attrs
             audit.append(
-                AuditRecord(
+                _audit_record(
                     record_kind, case_id, binding_id, source_id, key, value, tuple(readings),
                     pos, replaced,
                 )

@@ -16,6 +16,7 @@ along as provenance metadata; they gate nothing.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -289,6 +290,11 @@ class Condition:
         if self.op == "below":
             return value < self.threshold
         return value == self.threshold
+
+    def predicate(self) -> Callable[[float], bool]:
+        """`holds` for float values: a comparison method of the threshold, which map() runs in C."""
+        t = self.threshold
+        return {"above": t.__lt__, "below": t.__gt__, "equals": t.__eq__}[self.op]
 
 
 @dataclass(frozen=True)

@@ -66,4 +66,4 @@ def parse_timestamp(text: str) -> datetime:
 
 def format_timestamp(value: datetime) -> str:
     """Render a datetime as ISO-8601 UTC with millisecond precision."""
-    return to_utc_ms(value).isoformat(timespec="milliseconds")
+    return to_utc_ms(value).isoformat("T", "milliseconds")  # positional: keywords cost more

@@ -20,7 +20,7 @@ that round-trips binary64. Equal logs serialize to identical bytes.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
@@ -568,17 +568,24 @@ _ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
 _escape = partial(re.compile(f"[{''.join(_ESCAPES)}]").sub, lambda m: _ESCAPES[m[0]])
 
 
-def _attribute(indent: str, key: str, value: AttrValue, escaped: dict[str, str]) -> str:
-    """One attribute line; `escaped` maps each key and string value seen so far to its escaped text.
+class _Escaped(dict):
+    """The escaped text of each key and string value looked up in it, escaped the first time.
 
     `re.sub` returns its argument when nothing matches, so the table holds
     no copy of a string that needs no escaping.
     """
+
+    def __missing__(self, text: str) -> str:
+        escaped = self[text] = _escape(text)
+        return escaped
+
+
+def _attribute(
+    indent: str, key: str, value: AttrValue, escaped: _Escaped, times: Mapping[datetime, str]
+) -> str:
+    """One attribute line; `escaped` gives keys and string values, `times` a date if it has it."""
     if isinstance(value, str):
-        tag = "string"
-        text = escaped.get(value)
-        if text is None:
-            text = escaped[value] = _escape(value)
+        tag, text = "string", escaped[value]
     elif isinstance(value, bool):
         tag, text = "boolean", "true" if value else "false"
     elif isinstance(value, int):
@@ -586,31 +593,66 @@ def _attribute(indent: str, key: str, value: AttrValue, escaped: dict[str, str])
     elif isinstance(value, float):
         tag, text = "float", repr(value)
     else:
-        tag, text = "date", format_timestamp(value)
-    name = escaped.get(key)
-    if name is None:
-        name = escaped[key] = _escape(key)
-    return f'{indent}<{tag} key="{name}" value="{text}" />'
+        tag, text = "date", times.get(value) or format_timestamp(value)
+    return f'{indent}<{tag} key="{escaped[key]}" value="{text}" />'
 
 
-def write_xes(log: Log) -> bytes:
-    """Serialize a valid Log to UTF-8 XES bytes, deterministically."""
+def _event_attribute_lines(
+    attributes: tuple[Attribute, ...],
+    escaped: _Escaped,
+    times: Mapping[datetime, str],
+    repeated: dict[tuple, str],
+) -> list[str]:
+    """The lines of an event's attributes; `repeated` keeps the line of each string or boolean one.
+
+    It is keyed by (type(value), key, value), because True == 1.
+    """
+    lines = []
+    for attribute in attributes:
+        key, value = attribute.key, attribute.value
+        kind = type(value)
+        if kind is str or kind is bool:
+            seen = (kind, key, value)
+            line = repeated.get(seen)
+            if line is None:
+                line = repeated[seen] = _attribute("      ", key, value, escaped, times)
+        else:
+            line = _attribute("      ", key, value, escaped, times)
+        lines.append(line)
+    return lines
+
+
+def write_xes(log: Log, *, _times: Mapping[datetime, str] | None = None) -> bytes:
+    """Serialize a valid Log to UTF-8 XES bytes, deterministically.
+
+    `_times` maps datetimes to their format_timestamp text, for a caller
+    that shares the texts with another writer; a date not in it is
+    formatted here.
+    """
     if not log.metadata and not log.traces:
         return (_DECLARATION + '<log xes.version="1.0" />').encode()
-    escaped: dict[str, str] = {}  # each distinct key and string value is escaped once per call
+    escaped = _Escaped()  # each distinct key and string value is escaped once per call
+    times = {} if _times is None else _times
     lines = [_DECLARATION + '<log xes.version="1.0">']
-    lines += [_attribute("  ", a.key, a.value, escaped) for a in log.metadata]
+    lines += [_attribute("  ", a.key, a.value, escaped, times) for a in log.metadata]
     chunks = []  # encoded per trace, so only one trace's line strings are alive at a time
     for trace in log.traces:
         chunks.append("\n".join(lines).encode())
-        lines = ["  <trace>", _attribute("    ", "case_id", trace.case_id, escaped)]
-        lines += [_attribute("    ", a.key, a.value, escaped) for a in trace.attributes]
+        lines = ["  <trace>", _attribute("    ", "case_id", trace.case_id, escaped, times)]
+        lines += [_attribute("    ", a.key, a.value, escaped, times) for a in trace.attributes]
+        repeated: dict[tuple, str] = {}  # per trace: it holds only lines `lines` holds
         for event in trace.events:
-            lines += ["    <event>", _attribute("      ", "activity", event.activity, escaped)]
-            lines.append(_attribute("      ", "timestamp", event.timestamp, escaped))
-            lines += [_attribute("      ", a.key, a.value, escaped) for a in event.attributes]
+            timestamp = event.timestamp
+            lines.append(
+                f'    <event>\n      <string key="activity" value="{escaped[event.activity]}" />'
+                f'\n      <date key="timestamp" '
+                f'value="{times.get(timestamp) or format_timestamp(timestamp)}" />'
+            )
+            if event.attributes:
+                lines += _event_attribute_lines(event.attributes, escaped, times, repeated)
             lines.append("    </event>")
         lines.append("  </trace>")
     lines.append("</log>")
     chunks.append("\n".join(lines).encode())
+    del lines  # the last trace's line strings need not outlive its chunk
     return b"\n".join(chunks)

@@ -201,13 +201,36 @@ audit_values = st.one_of(
 )
 
 
-@given(st.lists(st.tuples(audit_values, st.none() | audit_values), min_size=1, max_size=4))
-def test_each_line_is_the_json_dumps_of_its_row_on_drawn_values(values_and_replaced):
-    readings = tuple(reading("s", at(t), 1.0) for t in range(3))
+def stretches(n: int):
+    """Increasing positions into a stream of n readings: one contiguous stretch, or any subset."""
+    if not n:
+        return st.just([])
+    contiguous = st.tuples(st.integers(0, n), st.integers(0, n)).map(
+        lambda bounds: list(range(min(bounds), max(bounds)))
+    )
+    return contiguous | st.sets(st.integers(0, n - 1)).map(sorted)
+
+
+@given(
+    st.lists(st.tuples(audit_values, st.none() | audit_values), min_size=1, max_size=4),
+    st.integers(0, 40),
+    st.integers(1, 40),
+    st.data(),
+)
+def test_each_line_is_the_json_dumps_of_its_row_on_drawn_values(
+    values_and_replaced, size, twins, data
+):
+    # Every `twins` readings in a row are equal but distinct, as identical
+    # CSV rows are. So a record that skips one and takes its equal twin
+    # compares equal to the stretch it skipped from, but is not that stretch.
+    readings = tuple(reading("s", at(t // twins), 1.0) for t in range(size))
     index = build_index([SensorStream("s", "temperature", readings)])
+    stream = index.stream("s").readings
     records = [
-        AuditRecord("case_attribute", "c1", "b", "s", "k", value, readings[: n % 4],
-                    n % 2 or None, replaced)
+        AuditRecord(
+            "case_attribute", "c1", "b", "s", "k", value,
+            tuple(stream[p] for p in data.draw(stretches(size))), n % 2 or None, replaced,
+        )
         for n, (value, replaced) in enumerate(values_and_replaced)
     ]
     handle = io.StringIO()
@@ -215,6 +238,8 @@ def test_each_line_is_the_json_dumps_of_its_row_on_drawn_values(values_and_repla
     expected = []
     for record in records:
         row = reference_audit_row(record)
-        row["readings"] = [readings.index(r) for r in record.readings]
+        row["readings"] = [
+            next(p for p, r in enumerate(stream) if r is x) for x in record.readings
+        ]
         expected.append(json.dumps(row) + "\n")
     assert handle.getvalue() == "".join(expected)

@@ -437,9 +437,15 @@ def test_condition_operators(op, threshold, xs, hits):
 
 
 def test_rule_over_non_numeric_readings_fails():
-    index = build_index([stream("s", [reading("s", at(5), "text")])])
-    with pytest.raises(DerivationError, match="not numeric"):
-        derive_events(rule(), index, [ev("a", at(0)), ev("b", at(10))], {}, "c")
+    # The first value that is not a number is named by its position in the
+    # correlation, also when a reading before it holds the condition.
+    cases = (([10.0, 40.0, True, 10.0], 2), ([40.0, 10.0, 40.0, "text", False], 3))
+    for values, position in cases:
+        readings = [reading("s", at(i), value) for i, value in enumerate(values)]
+        index = build_index([stream("s", readings)])
+        with pytest.raises(DerivationError) as err:
+            derive_events(rule(), index, [ev("a", at(0)), ev("b", at(10))], {}, "c")
+        assert str(err.value) == f"rule 'r1': reading {position} in 's' is not numeric"
 
 
 def test_a_rule_with_text_xml_cannot_carry_derives_no_event():
@@ -827,26 +833,43 @@ def test_subject_warning_emitted_once_per_binding_and_trace():
 # --- derived-event insertion vs brute force -----------------------------------------
 
 
+def reference_runs(rule, index, events, attrs, case_id):
+    """The former loop of `derive_events`: each maximal run's first reading, read one by one."""
+    readings, _ = correlate_trace(rule.correlation, index, rule.source_id, events, attrs, case_id)
+    triggers, in_run = [], False
+    for r in readings:
+        if rule.condition.holds(float(r.value)):
+            if not in_run:
+                triggers.append(r)
+            in_run = True
+        else:
+            in_run = False
+    return triggers
+
+
 def reference_insertion(trace, index, rules):
-    """The trace's events after step 1, and (rule_id, timestamp, event_index)
-    per inserted event, by a linear dedup over everything present so far and
-    a stable sort on timestamp."""
+    """The trace's events after step 1, and (rule_id, timestamp, event_index,
+    trigger) per inserted event, by per-reading run detection, a linear dedup
+    over everything present so far and a stable sort on timestamp."""
     events = list(trace.events)
     attrs = {a.key: a.value for a in trace.attributes}
     inserted = []
     for r in rules:
-        candidates, _ = derive_events(r, index, events, attrs, trace.case_id)
-        for candidate, _ in candidates:
-            present = events + [e for _, e in inserted]
+        for trigger in reference_runs(r, index, events, attrs, trace.case_id):
+            mark = (Attribute("derived_from", r.rule_id),)
+            candidate = Event(r.activity, trigger.timestamp, mark)
+            present = events + [e for _, e, _ in inserted]
             if not any(
                 e.activity == candidate.activity
                 and e.timestamp == candidate.timestamp
                 and e.get("derived_from") == r.rule_id
                 for e in present
             ):
-                inserted.append((r.rule_id, candidate))
-    merged = sorted(events + [e for _, e in inserted], key=lambda e: e.timestamp)
-    return merged, [(rule_id, e.timestamp, merged.index(e)) for rule_id, e in inserted]
+                inserted.append((r.rule_id, candidate, trigger))
+    merged = sorted(events + [e for _, e, _ in inserted], key=lambda e: e.timestamp)
+    return merged, [
+        (rule_id, e.timestamp, merged.index(e), trigger) for rule_id, e, trigger in inserted
+    ]
 
 
 def enrich_against_reference(log, index, rules):
@@ -859,7 +882,11 @@ def enrich_against_reference(log, index, rules):
         assert list(after.events) == merged
         expected += [(before.case_id, *d) for d in derived]
     records = [r for r in result.audit if r.kind == "derived_event"]
-    assert [(r.case_id, r.binding_id, r.value, r.event_index) for r in records] == expected
+    assert [(r.case_id, r.binding_id, r.value, r.event_index) for r in records] == [
+        e[:-1] for e in expected
+    ]
+    # Each record's reading is its run's first reading itself, not an equal one.
+    assert all(r.readings[0] is e[-1] and len(r.readings) == 1 for r, e in zip(records, expected))
     for r in records:
         event = result.log.trace(r.case_id).events[r.event_index]
         assert (event.activity, event.timestamp) == (r.key, r.value)
@@ -918,7 +945,7 @@ def test_re_enrichment_inserts_only_what_is_missing():
 
 seconds = st.integers(0, 6)
 flip_readings = st.lists(
-    st.tuples(seconds, st.sampled_from("ab"), st.sampled_from([10.0, 40.0])), max_size=12
+    st.tuples(seconds, st.sampled_from("ab"), st.sampled_from([10.0, 30.0, 40.0])), max_size=12
 )
 trace_events = st.lists(
     st.tuples(
@@ -931,7 +958,7 @@ trace_events = st.lists(
 flip_rules = st.lists(
     st.tuples(
         st.sampled_from(["s", "u"]),
-        st.sampled_from(["above", "below"]),
+        st.sampled_from(["above", "below", "equals"]),
         st.sampled_from(["alarm", "cool"]),
     ),
     min_size=1,
@@ -1250,6 +1277,7 @@ def test_the_binding_kernel_matches_the_two_copy_reference(
     with mock.patch.object(ENGINE, "_enrich_trace", reference_enrich_trace):
         expected = _result_or_error(lambda: enrich(log, index, plan))
     assert got == expected
+    assert repr(got) == repr(expected)  # also each value's type: 1 == 1.0 == True
 
 
 def kernel_inputs(traces, s_rows, u_rows, binding_specs, rule_specs, policy):
@@ -1328,3 +1356,6 @@ def test_the_kernel_builds_what_the_public_constructors_build(
         return
     for trace in result.log.traces:
         assert repr(rebuilt_trace(trace)) == repr(trace)
+    for record in result.audit:
+        fields = [getattr(record, name) for name in AuditRecord.__slots__]
+        assert repr(AuditRecord(*fields)) == repr(record)
