@@ -455,7 +455,17 @@ def _run(argv: list[str] | None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    """Run the command in sys.argv and exit with its code.
+
+    Everything left when a command returns lives until the process ends, so
+    the collector is frozen first: the interpreter's collections at exit
+    then skip every object the command and its imports made. Atexit
+    handlers and the flushing of stdio still run. `main` itself does not
+    freeze, as a caller in the same process goes on making garbage.
+    """
+    code = main(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

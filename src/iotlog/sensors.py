@@ -21,7 +21,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .timeutil import parse_timestamp, to_utc, to_utc_ms
+from .timeutil import WRITTEN_LAYOUT, ZERO_DIGITS, parse_timestamp, to_utc, to_utc_ms
 from .xes import _unwritable, _writable
 
 if TYPE_CHECKING:
@@ -356,9 +356,6 @@ def _csv_rows(reader, width: int, pick, source: SourceDecl, path: Path) -> list[
 # Rows _csv_columns converts at a time: enough that its per-chunk costs
 # vanish, few enough that one chunk's cells are a small share of memory.
 _CHUNK = 1024
-# The layout of every timestamp format_timestamp writes, each digit a 0.
-_LAYOUT = b"0000-00-00T00:00:00.000+00:00"
-_ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
 # The grammar's hours are 00-23. ISO 8601 also has 24:00, the end of a day,
 # so this does not rely on fromisoformat to refuse it.
 _LATE_HOUR = re.compile(rb"T(?:2[4-9]|[3-9])")
@@ -430,16 +427,18 @@ def _csv_columns(reader, width: int, at: list, source: SourceDecl) -> list[Senso
 def _chunk_timestamps(stamps: tuple[str, ...]) -> list[datetime]:
     """A chunk's timestamps; ValueError if parse_timestamp refuses one of them.
 
-    Cells that all have format_timestamp's layout are converted by
-    fromisoformat alone; the layout has one '+', so n matches of "+00:00"
-    mean that every offset is zero. fromisoformat refuses an impossible
-    date or time, and gives the timezone.utc singleton for +00:00, so each
-    result is normal. Any other chunk goes through parse_timestamp.
+    Cells that all have format_timestamp's layout, WRITTEN_LAYOUT, are
+    converted by fromisoformat alone, as parse_timestamp converts one such
+    cell, but with one join and one translate for the chunk. The layout has
+    one '+', so n matches of "+00:00" mean that every offset is zero.
+    fromisoformat refuses an impossible date or time, and gives the
+    timezone.utc singleton for +00:00, so each result is normal. Any other
+    chunk goes through parse_timestamp.
     """
     n = len(stamps)
     text = "\n".join(stamps).encode("ascii", "replace")
     if (
-        text.translate(_ZERO_DIGITS) == b"\n".join(repeat(_LAYOUT, n))
+        text.translate(ZERO_DIGITS) == b"\n".join(repeat(WRITTEN_LAYOUT, n))
         and text.count(b"+00:00") == n
         and not _LATE_HOUR.search(text)
     ):

@@ -5,7 +5,8 @@ millisecond precision. Naive inputs are interpreted as UTC; zoned inputs are
 converted. A timestamp is normalised once, when it is parsed or built; the
 later normalisations on construction and output pass it through. The single
 textual format emitted anywhere is ISO-8601 with a +00:00 offset and exactly
-three fractional digits.
+three fractional digits; parse_timestamp reads that layout back with
+fromisoformat alone.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ _TIMESTAMP_RE = re.compile(
     r"(?:[Zz]|[+-]\d{2}:\d{2})?)?",
     re.ASCII,
 )
+
+# The layout of every timestamp format_timestamp writes, each digit a 0, and
+# the table that makes every ASCII digit a 0. Text in the layout with a
+# +00:00 offset and an hour below 24 is already normal once fromisoformat
+# reads it: three fractional digits, and the timezone.utc singleton.
+WRITTEN_LAYOUT = b"0000-00-00T00:00:00.000+00:00"
+ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
+_fromisoformat = datetime.fromisoformat
 
 
 def to_utc(value: datetime) -> datetime:
@@ -50,7 +59,19 @@ def parse_timestamp(text: str) -> datetime:
 
     Raises ValueError on text outside the grammar of _TIMESTAMP_RE, on an
     impossible date in it (month 13, February 30) or one outside UTC years 1-9999.
+    Text in format_timestamp's own layout is read by fromisoformat alone;
+    if fromisoformat refuses it, the general path below says why, so the
+    result or message is the same either way.
     """
+    if (
+        text.encode("ascii", "replace").translate(ZERO_DIGITS) == WRITTEN_LAYOUT
+        and text.endswith("+00:00")
+        and text[11:13] < "24"  # ISO 8601's 24:00 is the grammar's to refuse, not fromisoformat's
+    ):
+        try:
+            return _fromisoformat(text)
+        except ValueError:
+            pass
     cleaned = text.strip()
     if _TIMESTAMP_RE.fullmatch(cleaned) is None:
         raise ValueError(

@@ -8,7 +8,11 @@ functions. The model classes have slots, so an instance carries no `__dict__`.
 Constructors reject keys, string values, activities and case ids holding a
 character XML 1.0 cannot carry, so whatever is built can be written and read
 back. `parse_xes` checks what it reads itself and builds attributes and
-events without those checks, which parsed text always passes.
+events without those checks, which parsed text always passes. Its one Python
+handler sees start tags only (expat appends each end tag to a list), and it
+reads the common string, date, float and boolean attributes itself; any
+other attribute, or one that does not convert, goes through
+`_parse_attribute`, the one place that words the error.
 
 `write_xes` emits one fixed layout in a single pass, without a tree, and is
 deterministic: mandatory fields first (case_id on traces, activity and
@@ -213,7 +217,7 @@ def _parsed_event(activity: str, timestamp: datetime, attributes: Iterable[Attri
     event = _new(Event)
     _set_activity(event, activity)
     _set_timestamp(event, timestamp)
-    _set_attributes(event, _sorted_attrs(attributes))
+    _set_attributes(event, _sorted_attrs(attributes) if attributes else ())
     return event
 
 
@@ -361,6 +365,7 @@ def _parse_attribute(tag: str, attrs: dict[str, str]) -> tuple[str, AttrValue]:
 
 
 _VALUE_TAGS = {"string", "int", "float", "boolean", "date"}
+_BOOLEANS = {"true": True, "false": False}
 _STRUCTURAL_TAGS = {"extension", "global", "classifier"}
 _timestamp = attrgetter("timestamp")
 
@@ -395,6 +400,12 @@ def parse_xes(document: bytes | str, keep: Iterable[str] | None = None) -> Log:
     even when a semantic error (a missing field, a bad value, a duplicate
     case id, a wrong root) comes before the syntax error; otherwise the first
     semantic error fails with the line of the element it concerns.
+
+    Only start tags reach Python: expat appends each end tag's name to a
+    list, and an element's depth is the start tags so far less the end tags.
+    An event or trace is closed when the next element at its depth or
+    shallower starts, before that element is checked, or after the last
+    byte, so the semantic errors still come in document order.
     """
     if keep is not None:
         keep = _MANDATORY_KEYS.union(keep)
@@ -415,62 +426,97 @@ def parse_xes(document: bytes | str, keep: Iterable[str] | None = None) -> Log:
     # as the document's first equal string, so repeated keys, activities and
     # values are held once.
     share = {}.setdefault
-    # Elements nest log (depth 1) > trace (2) > event (3) > attribute (4);
-    # in_trace/in_event say whether the open element at depth 2/3 is one.
-    depth = 0
+    # The local tag of each name expat gives (the same string object each time).
+    local: dict[str, str] = {}
+    # Elements nest log (depth 1) > trace (2) > event (3) > attribute (4).
+    # `ends` holds the end tags since the last depth-2 start, and `starts` the
+    # start tags since then plus the two open ones at that start.
+    ends: list[str] = []
+    starts = 0
+    # Whether the last element at depth 2/3 was a trace/event not yet closed.
     in_trace = in_event = False
     trace_line = event_line = 0
 
     def fail(message: str, line: int) -> None:
-        # Keep the first semantic error and stop building, but let expat read
-        # on: a syntax error anywhere in the document takes precedence.
+        # Keep the first semantic error and stop building after the element
+        # at hand, but let expat read on: a syntax error anywhere in the
+        # document takes precedence.
         failures.append(XesParseError(message, line=line))
         parser.StartElementHandler = parser.EndElementHandler = None
 
     def start(name: str, attrs: dict[str, str]) -> None:
-        nonlocal depth, in_trace, in_event, trace_line, event_line
-        depth += 1
-        tag = name[name.rfind("}") + 1 :]
-        into = None  # the list an attribute element at this place goes into
+        nonlocal starts, in_trace, in_event, trace_line, event_line
+        starts += 1
+        depth = starts - len(ends)
+        try:
+            tag = local[name]
+        except KeyError:
+            tag = local[name] = name[name.rfind("}") + 1 :]
         if depth == 4:
-            if in_event:
-                into, held, fields = event_attrs, event_held, _EVENT_FIELDS
+            if not in_event:
+                return
+            into, held, fields = event_attrs, event_held, _EVENT_FIELDS
         elif depth == 3:
-            if in_trace:
-                if tag == "event":
-                    in_event, event_line = True, parser.CurrentLineNumber
-                else:
-                    into, held, fields = trace_attrs, trace_held, _TRACE_FIELDS
+            if in_event:
+                in_event = False
+                close_event()
+            if not in_trace:
+                return
+            if tag == "event":
+                in_event, event_line = True, parser.CurrentLineNumber
+                return
+            into, held, fields = trace_attrs, trace_held, _TRACE_FIELDS
         elif depth == 2:
+            starts = 2  # every element whose end tag `ends` holds is closed
+            ends.clear()
+            if in_event:
+                in_event = False
+                close_event()
+            if in_trace:
+                in_trace = False
+                close_trace()
             if tag == "trace":
                 in_trace, trace_line = True, parser.CurrentLineNumber
-            elif tag not in _STRUCTURAL_TAGS:
-                into, held, fields = metadata, None, ()
-        elif depth == 1 and tag != "log":
-            fail(f"expected <log> root element, found <{tag}>", parser.CurrentLineNumber)
-        if into is None:
+                return
+            if tag in _STRUCTURAL_TAGS:
+                return
+            into, held, fields = metadata, None, ()
+        else:
+            if depth == 1 and tag != "log":
+                fail(f"expected <log> root element, found <{tag}>", parser.CurrentLineNumber)
             return
-        try:
-            key, value = _parse_attribute(tag, attrs)
-        except XesParseError as exc:
-            where = ("log", f"trace {len(traces)}", f"trace {len(traces)}, event {len(events)}")
-            fail(f"{where[depth - 2]}: {exc}", parser.CurrentLineNumber)
-            return
+        # The common attribute elements, read as _parse_attribute reads them;
+        # the rest, and any that fails, go through it.
+        key = attrs.get("key")
+        raw = attrs.get("value")
+        value = None
+        if key and raw is not None:
+            if tag == "string":
+                value = raw
+            elif tag == "date":
+                try:
+                    value = parse_timestamp(raw)
+                except ValueError:
+                    pass
+            elif tag == "float":
+                try:
+                    value = float(raw)
+                except ValueError:
+                    pass
+            elif tag == "boolean":
+                value = _BOOLEANS.get(raw)
+        if value is None:
+            try:
+                key, value = _parse_attribute(tag, attrs)
+            except XesParseError as exc:
+                where = ("log", f"trace {len(traces)}", f"trace {len(traces)}, event {len(events)}")
+                fail(f"{where[depth - 2]}: {exc}", parser.CurrentLineNumber)
+                return
         if key in fields and key not in held:
             held[key] = share(value, value) if type(value) is str else value
         elif keep is None or key in keep:
             value = share(value, value) if type(value) is str else value
             into.append(_parsed_attribute(share(key, key), value))
-
-    def end(name: str) -> None:
-        nonlocal depth, in_trace, in_event
-        if depth == 3 and in_event:
-            in_event = False
-            end_event()
-        elif depth == 2 and in_trace:
-            in_trace = False
-            end_trace()
-        depth -= 1
 
     def release(held: dict[str, AttrValue], into: list[Attribute]) -> None:
         # A held value no field took (an alias beside its preferred key) is a
@@ -479,14 +525,15 @@ def parse_xes(document: bytes | str, keep: Iterable[str] | None = None) -> Log:
         for key, value in held.items():
             into.insert(0, _parsed_attribute(share(key, key), value))
 
-    def end_event() -> None:
-        where = f"trace {len(traces)}, event {len(events)}"
+    def close_event() -> None:
         activity = _pop_first(event_held, _ACTIVITY_KEYS)
         timestamp = _pop_first(event_held, _TIMESTAMP_KEYS)
         if activity is None or not isinstance(activity, str) or not activity:
-            fail(f"{where}: missing mandatory activity", event_line)
+            fail(f"trace {len(traces)}, event {len(events)}: missing mandatory activity",
+                 event_line)
         elif timestamp is None or not isinstance(timestamp, datetime):
-            fail(f"{where}: missing mandatory timestamp", event_line)
+            fail(f"trace {len(traces)}, event {len(events)}: missing mandatory timestamp",
+                 event_line)
         else:
             if event_held:
                 release(event_held, event_attrs)
@@ -494,7 +541,7 @@ def parse_xes(document: bytes | str, keep: Iterable[str] | None = None) -> Log:
         event_attrs.clear()
         event_held.clear()
 
-    def end_trace() -> None:
+    def close_trace() -> None:
         case_value = _pop_first(trace_held, _CASE_ID_KEYS)
         case_id = None if case_value is None else str(case_value)
         if case_id is None:
@@ -524,7 +571,7 @@ def parse_xes(document: bytes | str, keep: Iterable[str] | None = None) -> Log:
             )
 
     parser.StartElementHandler = start
-    parser.EndElementHandler = end
+    parser.EndElementHandler = ends.append
     parser.SkippedEntityHandler = skipped_entity
     parser.XmlDeclHandler = lambda version, encoding, standalone: declared.append(encoding)
     try:
@@ -550,6 +597,11 @@ def parse_xes(document: bytes | str, keep: Iterable[str] | None = None) -> Log:
         # cycle, so the parse leaves nothing for the cyclic collector.
         parser.StartElementHandler = parser.EndElementHandler = None
         parser.SkippedEntityHandler = parser.XmlDeclHandler = None
+    if not failures:  # the last event and trace end with the document
+        if in_event:
+            close_event()
+        if in_trace:
+            close_trace()
     if failures:
         raise failures.pop(0)  # popped: a local holding it would tie it to its own traceback
     return Log(tuple(traces), tuple(metadata))

@@ -9,6 +9,7 @@ interpreter run in a subprocess.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import os
@@ -170,3 +171,27 @@ def test_the_cli_names_a_tracer_wraps_resolve_as_module_attributes():
                          ("load_stream", "sensors"), ("build_index", "sensors")]:
         assert getattr(cli, name) is getattr(importlib.import_module(f"iotlog.{module}"), name)
     assert not isinstance(cli.enrich, ModuleType)
+
+
+QUERY = 'cases where event.pain >= 4 and has activity "Triage in the ED"'
+
+
+def test_main_entry_prints_what_main_prints_and_exits_with_its_code(capsys, tmp_path):
+    from iotlog import cli
+    from iotlog.xes import Attribute, Log, Trace, write_xes
+
+    log = str(FIXTURES / "ed_visits.xes")
+    frozen = gc.get_freeze_count()
+    assert cli.main(["query", "--log", log, "--query", QUERY]) == 0
+    assert gc.get_freeze_count() == frozen  # main leaves the collector as it found it
+    printed = capsys.readouterr().out
+    done = run_cli("query", "--log", log, "--query", QUERY)
+    assert (done.returncode, done.stdout, done.stderr) == (0, printed, "")
+
+    bad = tmp_path / "bad.xes"  # a duplicate attribute key survives the round trip
+    bad.write_bytes(write_xes(Log((Trace("c", (Attribute("k", 1), Attribute("k", 2))),))))
+    done = run_cli("validate", "--log", str(bad))
+    assert done.returncode == 1, done.stderr
+    assert json.loads(done.stdout)["code"] == "duplicate_attribute_key"
+    done = run_cli("query", "--log", str(tmp_path / "missing.xes"), "--query", QUERY)
+    assert done.returncode == 2 and done.stderr.startswith("error: "), done.stderr

@@ -377,6 +377,9 @@ def test_parse_timestamp_accepts_the_pinned_grammar(text, expected):
         "2024-02-30T00:00",  # in the grammar, but no such day
         "0001-01-01T00:30:00+01:00",  # in the grammar, but before year 1 in UTC
         "9999-12-31T23:00:00-02:00",  # in the grammar, but after year 9999 in UTC
+        "2024-01-01T24:00:00.000+00:00",  # end-of-day hour in the written layout
+        "2024-02-30T00:00:00.000+00:00",  # no such day, in the written layout
+        "0000-01-01T00:00:00.000+00:00",  # year 0, in the written layout
         "",
     ],
 )

@@ -767,6 +767,32 @@ def xes_documents(draw):
     '</string><date key="timestamp" value="2024-01-01"><list key="l"/></date></event>'
     '</trace><string key="after" value="traces"><trace/></string></log>'
 )
+@example(  # a written timestamp with a nonzero offset
+    '<log><trace><string key="case_id" value="c"/><event><string key="activity" value="a"/>'
+    '<date key="timestamp" value="2024-01-01T11:00:00.000+01:00"/></event></trace></log>'
+)
+@example(  # the last event of the last trace lacks its activity: closed after the last byte
+    '<log><trace><string key="case_id" value="c"/><event><string key="activity" value="a"/>'
+    '<date key="timestamp" value="2024-01-01"/></event><event>'
+    '<date key="timestamp" value="2024-01-02"/></event></trace></log>'
+)
+@example(  # a trace without its case id, then a syntax error further on, which wins
+    '<log>\n<trace>\n<event><string key="activity" value="a"/>'
+    '<date key="timestamp" value="2024-01-01"/></event>\n</trace>\n'
+    '<trace><string key="case_id" value="c"/></trace>\n<string key="k" value="v">\n</log>'
+)
+@example(  # trace attributes after the events, and a log attribute after the last trace
+    '<log><string key="source" value="s"/><trace><event><string key="activity" value="a"/>'
+    '<date key="timestamp" value="2024-01-01"/></event><string key="case_id" value="c"/>'
+    '<float key="m" value="1.5"/></trace><trace><event><string key="activity" value="b"/>'
+    '<date key="timestamp" value="2024-01-02"/></event><boolean key="k" value="true"/>'
+    '<string key="case_id" value="d"/></trace><string key="after" value="traces"/></log>'
+)
+@example(  # a depth-5 child inside an event attribute is skipped
+    '<log><trace><string key="case_id" value="c"/><event><string key="activity" value="a"/>'
+    '<date key="timestamp" value="2024-01-01"/><string key="k" value="v">'
+    '<int key="n" value="x"/><event/></string></event></trace></log>'
+)
 def test_reader_matches_the_elementtree_reference(document):
     try:
         expected = _reference_parse_xes(document)
