@@ -4,12 +4,13 @@ For every trace, event derivation rules run first (so freshly derived events
 can receive attributes), then bindings run in plan order on the evolving
 trace (so a binding may correlate via an attribute an earlier binding just
 wrote). A binding anchors on each event it selects when it targets an event
-attribute, and on the trace otherwise; for each anchor it correlates,
-derives, and then writes under the collision policy or contributes to the
-process report. Event- and instance-level values land in the log;
-process-level values land only in the sidecar report. Every addition to the
-log produces exactly one audit record, and nothing pre-existing is ever
-removed or reordered.
+attribute, and on the trace otherwise. It correlates and derives for each
+anchor under a nearest_* strategy, and once per trace under any other, whose
+readings are the trace's; then, for each anchor, it writes under the
+collision policy or contributes to the process report. Event- and
+instance-level values land in the log; process-level values land only in
+the sidecar report. Every addition to the log produces exactly one audit
+record, and nothing pre-existing is ever removed or reordered.
 """
 
 from __future__ import annotations
@@ -199,12 +200,7 @@ def _nearest(
         best = index.latest_at_or_before(source_id, t)
     else:
         assert correlation.window_seconds is not None
-        window = timedelta(seconds=correlation.window_seconds)
-        best, best_key = None, None
-        for reading in index.range_query(source_id, t - window, t + window):
-            key = (abs(reading.timestamp - t), reading.timestamp, reading.sensor_id)
-            if best_key is None or key < best_key:
-                best, best_key = reading, key
+        best = index.nearest(source_id, t, timedelta(seconds=correlation.window_seconds))
     return [best] if best is not None else []
 
 
@@ -502,26 +498,33 @@ def _enrich_trace(
         key = binding.target.key
         source_id = binding.source_id
         binding_id = binding.binding_id
+        correlation = binding.correlation
         anchors: list[int | None] = [None]
         if kind is TargetKind.EVENT_ATTRIBUTE:
             wanted = binding.target.activity_filter
             anchors = [p for p, e in enumerate(events) if not wanted or e.activity in wanted]
+        # A nearest_* strategy correlates each event on its own. Any other
+        # gives every anchor the trace's readings, so it correlates and
+        # derives once, for the first anchor.
+        per_event = kind is TargetKind.EVENT_ATTRIBUTE and correlation.strategy in _NEAREST
+        readings = None
         for pos in anchors:
-            if pos is None:
-                readings, warning = correlate_trace(
-                    binding.correlation, index, source_id, events, trace_attrs, case_id
-                )
-            else:
-                readings, warning = correlate_event(
-                    binding.correlation, index, source_id, events[pos], events,
-                    trace_attrs, case_id,
-                )
-            if warning:
-                # A warning depends only on the trace's attributes, so it
-                # would repeat for every further anchor: end the binding here.
-                warnings.append(warning)
-                break
-            value = derive_value(binding.derivation, readings, f"binding {binding_id!r}")
+            if per_event or readings is None:
+                if per_event:
+                    readings, warning = correlate_event(
+                        correlation, index, source_id, events[pos], events, trace_attrs, case_id
+                    )
+                else:
+                    readings, warning = correlate_trace(
+                        correlation, index, source_id, events, trace_attrs, case_id
+                    )
+                if warning:
+                    # A warning depends only on the trace's attributes, so it
+                    # would repeat for every further anchor: end the binding here.
+                    warnings.append(warning)
+                    break
+                value = derive_value(binding.derivation, readings, f"binding {binding_id!r}")
+                readings = tuple(readings)
             if value is None:
                 continue
             if kind is TargetKind.PROCESS_REPORT_ENTRY:
@@ -550,8 +553,8 @@ def _enrich_trace(
                 written[pos] = attrs
             audit.append(
                 _audit_record(
-                    record_kind, case_id, binding_id, source_id, key, value, tuple(readings),
-                    pos, replaced,
+                    record_kind, case_id, binding_id, source_id, key, value, readings, pos,
+                    replaced,
                 )
             )
     for pos, attrs in written.items():  # each written event is rebuilt once

@@ -15,9 +15,9 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 from itertools import islice, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
@@ -177,6 +177,18 @@ class StreamIndex:
         idx = bisect_right(self._timestamps[source_id], to_utc_ms(t))
         return stream.readings[idx - 1] if idx else None
 
+    def nearest(self, source_id: str, t: datetime, window: timedelta) -> SensorReading | None:
+        """The reading nearest to t, at most `window` from it; of two as near the
+        earlier, of readings at one instant the first. None if there is none."""
+        readings, timestamps = self.stream(source_id).readings, self._timestamps[source_id]
+        t = to_utc(t)
+        i = bisect_left(timestamps, t)  # the first reading at or after t
+        near = [(timestamps[i] - t, i)] if i < len(timestamps) else []
+        if i:  # and the first reading at the last instant before t
+            near.append((t - timestamps[i - 1], bisect_left(timestamps, timestamps[i - 1], 0, i)))
+        distance, best = min(near, default=(window, None))
+        return None if best is None or distance > window else readings[best]
+
     def subject_readings(self, source_id: str, subject_key: str) -> list[SensorReading]:
         """Readings of one stream carrying the given subject key, in order."""
         if source_id not in self._streams:
@@ -280,15 +292,17 @@ def load_stream(source: SourceDecl, base_dir: str | Path | None = None) -> Senso
 
     CSV files need a header naming at least `timestamp` and `value`; the
     optional columns are sensor_id, unit, subject_key, lon, lat. JSON-lines
-    files use the same field names, with native JSON types for `value`.
-    A file with a valid header and zero rows yields an empty stream.
+    files use the same field names, with native JSON types for `value`. A
+    file with a valid header and zero rows yields an empty stream; a bad row
+    fails the load with its row number, and only its CSV chunk is read twice.
     """
     path = Path(base_dir) / source.path if base_dir is not None else Path(source.path)
     if not path.is_file():
         raise SensorIngestError("file not found", path=str(path))
     try:
         if source.format == "csv":
-            readings = _load_csv(path, source)
+            with path.open(newline="", encoding="utf-8") as handle:
+                readings = _csv_columns(handle, source, path)
         else:
             readings = _load_jsonl(path, source)
     except UnicodeDecodeError as exc:
@@ -315,42 +329,14 @@ def _utf8_fault(path: Path, exc: UnicodeDecodeError) -> tuple[str, int | None]:
     return f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})", line
 
 
-def _load_csv(path: Path, source: SourceDecl) -> list[SensorReading]:
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        column = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
-        for required in ("timestamp", "value"):
-            if required not in column:
-                raise SensorIngestError(f"header is missing column {required!r}", path=str(path))
-        width = len(header)
-        readings = _csv_columns(reader, width, [column.get(name) for name in _FIELDS], source)
-        if readings is None:
-            handle.seek(0)
-            reader = csv.reader(handle)
-            next(reader)
-            # An absent optional column reads index `width`: the None appended to every row.
-            pick = itemgetter(*(column.get(name, width) for name in _FIELDS))
-            readings = _csv_rows(reader, width, pick, source, path)
-    return readings
-
-
-def _csv_rows(reader, width: int, pick, source: SourceDecl, path: Path) -> list[SensorReading]:
-    """The rows left in `reader`, one at a time: what a row means, and where it is bad."""
-    readings = []
-    share = {}.setdefault
-    for row in reader:
-        if len(row) != width:
-            if not row:
-                continue  # a blank line
-            # Extra fields are ignored; fields past the row's end are absent.
-            row = row[:width] + [None] * (width - len(row))
-        row.append(None)
-        try:
-            readings.append(_reading_from_fields(pick(row), source, share, from_json=False))
-        except ValueError as exc:
-            raise SensorIngestError(str(exc), path=str(path), row=reader.line_num) from exc
-    return readings
+def _fit_rows(rows: list[list[str]], width: int) -> list[list[str]]:
+    """Rows as a CSV row is read: a blank line is skipped, extra fields are ignored
+    and missing fields are empty; an empty optional cell is absent, as "" is
+    to _reading_from_fields and to the column converters."""
+    rows = list(filter(None, rows))
+    if set(map(len, rows)) != {width}:
+        rows = [row[:width] + [""] * (width - len(row)) for row in rows]
+    return rows
 
 
 # Rows _csv_columns converts at a time: enough that its per-chunk costs
@@ -364,17 +350,21 @@ _NOWHERE = ("", "")
 _consume = deque(maxlen=0).extend
 
 
-def _csv_columns(reader, width: int, at: list, source: SourceDecl) -> list[SensorReading] | None:
-    """The rows left in `reader`, a chunk at a time; None if a row is bad.
+def _csv_columns(handle, source: SourceDecl, path: Path) -> list[SensorReading]:
+    """The readings of the CSV file open in `handle`, read a chunk of rows at a time.
 
-    `at` holds the column of each of _FIELDS, None for an absent one. Each
-    chunk is transposed and each column converted in one C-level loop, and
-    a cell is read as _csv_rows reads it: a blank line is skipped, a short
-    row's missing fields and an empty optional cell are absent. So every
-    file that loads is read here alone. At the first cell that does not
-    convert this returns None, and the caller reads the file again with
-    _csv_rows, which alone says what a row means and locates a bad one.
+    Each chunk is fitted by _fit_rows, transposed, and each column converted
+    in one C-level loop. A chunk that does not convert, or that csv cannot
+    read, is read again alone, a row at a time through _reading_from_fields,
+    which names the first bad row.
     """
+    reader = csv.reader(handle)
+    header = next(reader, [])
+    column = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+    for required in ("timestamp", "value"):
+        if required not in column:
+            raise SensorIngestError(f"header is missing column {required!r}", path=str(path))
+    width, at = len(header), [column.get(name) for name in _FIELDS]  # None: an absent column
     stamp_at, value_at, id_at, unit_at, subject_at, lon_at, lat_at = at
     share = {}.setdefault
     source_id = share(source.source_id, source.source_id)
@@ -384,44 +374,54 @@ def _csv_columns(reader, width: int, at: list, source: SourceDecl) -> list[Senso
     )
     value_type = source.value_type
     readings: list[SensorReading] = []
-    try:
-        while chunk := list(islice(reader, _CHUNK)):
-            rows = list(filter(None, chunk))
-            if not rows:
-                continue
-            if set(map(len, rows)) != {width}:
-                # Extra fields are ignored; fields past a row's end are absent.
-                rows = [row[:width] + [""] * (width - len(row)) for row in rows]
-            columns = list(zip(*rows))
-            n = len(rows)
-
-            timestamps = _chunk_timestamps(columns[stamp_at])
-            values = _chunk_values(columns[value_at], value_type, share)
-            locations = repeat(None)
-            if lon_at is not None or lat_at is not None:
-                nowhere = ("",) * n
-                locations = _chunk_locations(
-                    nowhere if lon_at is None else columns[lon_at],
-                    nowhere if lat_at is None else columns[lat_at],
-                )
-
-            built = list(map(_new, repeat(SensorReading, n)))
-            _consume(map(_set_timestamp, built, timestamps))
-            _consume(map(_set_value, built, values))
-            for setter, i, absent in texts:
-                if i is None:
-                    cells = repeat(absent)
-                else:
-                    cells = columns[i]
-                    if "" in cells:
-                        cells = list(map({"": absent}.get, cells, cells))
-                    cells = map(share, cells, cells)
-                _consume(map(setter, built, cells))
-            _consume(map(_set_location, built, locations))
-            readings += built
-    except (ValueError, csv.Error):  # a cell that does not convert, or a file _csv_rows must read
-        return None
-    return readings
+    done = 0  # the rows read before the chunk in hand, blank ones included
+    while True:
+        try:
+            chunk = list(islice(reader, _CHUNK))
+            if rows := _fit_rows(chunk, width):
+                columns = list(zip(*rows))
+                n = len(rows)
+                timestamps = _chunk_timestamps(columns[stamp_at])
+                values = _chunk_values(columns[value_at], value_type, share)
+                locations = repeat(None)
+                if lon_at is not None or lat_at is not None:
+                    nowhere = ("",) * n
+                    locations = _chunk_locations(
+                        nowhere if lon_at is None else columns[lon_at],
+                        nowhere if lat_at is None else columns[lat_at],
+                    )
+                built = list(map(_new, repeat(SensorReading, n)))
+                _consume(map(_set_timestamp, built, timestamps))
+                _consume(map(_set_value, built, values))
+                for setter, i, absent in texts:
+                    if i is None:
+                        cells = repeat(absent)
+                    else:
+                        cells = columns[i]
+                        if "" in cells:
+                            cells = list(map({"": absent}.get, cells, cells))
+                        cells = map(share, cells, cells)
+                    _consume(map(setter, built, cells))
+                _consume(map(_set_location, built, locations))
+                readings += built
+            if not chunk:
+                return readings
+            done += len(chunk)
+            continue
+        except (ValueError, csv.Error):
+            pass
+        # Read this chunk again alone, a row at a time; a quoted cell may span lines.
+        handle.seek(0)
+        reader = csv.reader(handle)
+        _consume(islice(reader, 1 + done))  # the header and the rows before it: tokenised only
+        for row in islice(reader, _CHUNK):
+            done += 1
+            for cells in _fit_rows([row], width):
+                fields = [None if i is None else cells[i] for i in at]
+                try:
+                    readings.append(_reading_from_fields(fields, source, share, from_json=False))
+                except ValueError as exc:
+                    raise SensorIngestError(str(exc), path=str(path), row=reader.line_num) from exc
 
 
 def _chunk_timestamps(stamps: tuple[str, ...]) -> list[datetime]:

@@ -9,12 +9,15 @@ collision policies, audit completeness, report separation).
 from __future__ import annotations
 
 import importlib
+import io
+from datetime import timedelta
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iotlog import cli
 from iotlog.enrich import (
     DERIVED_FROM_KEY,
     AuditRecord,
@@ -45,7 +48,7 @@ from iotlog.plan import (
     Target,
     TargetKind,
 )
-from iotlog.sensors import SensorStream, build_index
+from iotlog.sensors import SensorStream, StreamIndex, build_index
 from iotlog.xes import Attribute, Event, Trace
 
 from conftest import at, ev, mklog, reading, tr
@@ -113,21 +116,43 @@ def test_nearest_before_matches_scan(rows, anchor):
     assert got == ([candidates[-1]] if candidates else [])
 
 
-@given(rows, anchors, st.integers(1, 120))
+def reference_nearest_within(index, source_id, t, window_seconds):
+    """The former window scan of nearest_within: the minimum of (distance, timestamp,
+    sensor_id) over every reading in [t - w, t + w], the first of equal ones."""
+    window = timedelta(seconds=window_seconds)
+    best, best_key = None, None
+    for r in index.range_query(source_id, t - window, t + window):
+        key = (abs(r.timestamp - t), r.timestamp, r.sensor_id)
+        if best_key is None or key < best_key:
+            best, best_key = r, key
+    return best
+
+
+# Tied timestamps, several sensor ids and repeated (timestamp, sensor_id)
+# pairs on a grid of half seconds; anchors on the grid, between it and on a
+# millisecond, so readings lie at equal distances on both sides and exactly
+# at t - w or t + w, and windows come up empty.
+window_rows = st.lists(
+    st.tuples(st.integers(0, 80), st.sampled_from("abc"), st.integers(0, 2)), max_size=30
+)
+
+
+@given(
+    window_rows,
+    st.integers(0, 80).map(lambda n: n / 2) | st.sampled_from([0.25, 10.001, 39.999]),
+    st.sampled_from([0.0015, 0.5, 1, 1.5, 2, 7, 60]),
+)
 def test_nearest_within_matches_scan_with_tie_break(rows, anchor, window):
-    readings = [reading(sid, at(sec), float(sec)) for sec, sid in rows]
+    readings = [reading(sid, at(half / 2), float(n)) for half, sid, n in rows]
     index = build_index([stream("s", readings)])
     correlation = Correlation(CorrelationStrategy.NEAREST_WITHIN, window_seconds=window)
-    got, _ = correlate_event(correlation, index, "s", ev("a", at(anchor)), [], {}, "c")
-    candidates = [
-        r for r in readings if abs((r.timestamp - at(anchor)).total_seconds()) <= window
-    ]
-    expected = min(
-        candidates,
-        key=lambda r: (abs(r.timestamp - at(anchor)), r.timestamp, r.sensor_id),
-        default=None,
-    )
-    assert got == ([expected] if expected is not None else [])
+    expected = reference_nearest_within(index, "s", at(anchor), window)
+    got = index.nearest("s", at(anchor), timedelta(seconds=window))
+    assert got is expected  # identity: the first of equal readings in file order
+    t = ev("a", at(anchor)).timestamp  # an event's timestamp is whole milliseconds
+    got, _ = correlate_event(correlation, index, "s", ev("a", t), [], {}, "c")
+    expected = reference_nearest_within(index, "s", t, window)
+    assert len(got) == (expected is not None) and all(r is expected for r in got)
 
 
 def test_nearest_within_keeps_a_sub_millisecond_window_closed():
@@ -811,6 +836,69 @@ def test_invalid_plan_and_log_are_rejected_before_any_work():
     assert [v.code for v in log_err.value.violations] == ["unsorted_events"]
 
 
+# --- scaling: work per anchor, counted at E and 4E events --------------------------
+
+
+def one_hour_trace(events: int, readings: int):
+    """One trace of `events` events and a stream of `readings` readings, each spread over an hour."""
+    log = mklog(tr("c", [ev("a", at(3600 * i / events)) for i in range(events)]))
+    values = [reading("s", at(3600 * i / readings), float(i % 50)) for i in range(readings)]
+    return log, build_index([stream("s", values)])
+
+
+def counted(patch, owner, name, returned=len):
+    """Patch owner.name to count its calls, and what `returned` makes of each result."""
+    calls, total, call = [0], [0], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        result = call(*args, **kwargs)
+        calls[0] += 1
+        total[0] += returned(result)
+        return result
+
+    patch.setattr(owner, name, wrapper)
+    return calls, total
+
+
+@pytest.mark.parametrize("events", [50, 200])
+def test_nearest_within_reads_no_window_of_readings_per_anchor(events):
+    log, index = one_hour_trace(events, 40 * events)
+    correlation = Correlation(CorrelationStrategy.NEAREST_WITHIN, window_seconds=600)
+    plan = simple_plan(
+        binding("b1", "s", level=ProcessContextLevel.EVENT, kind=TargetKind.EVENT_ATTRIBUTE,
+                key="v", correlation=correlation, derivation=Derivation(Aggregator.FIRST, "float"))
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        _, returned = counted(patch, StreamIndex, "range_query")
+        result = enrich(log, index, plan)
+    assert len(result.audit) == events
+    assert returned == [0]  # a window scan copies about 13 readings per event, per event
+
+
+@pytest.mark.parametrize("events", [50, 200])
+@pytest.mark.parametrize("strategy", ["span", "subject"])
+def test_a_trace_scoped_event_binding_correlates_and_derives_once_per_trace(events, strategy):
+    log, index = one_hour_trace(events, 4 * events)
+    correlation = SPAN
+    if strategy == "subject":
+        log = mklog(tr("c", log.traces[0].events, plate="x"))
+        index = build_index([stream("s", [
+            reading("s", r.timestamp, r.value, subject="x") for r in index.stream("s").readings
+        ])])
+        correlation = Correlation(CorrelationStrategy.SUBJECT_KEY_EQUALS, subject_attribute="plate")
+    plan = simple_plan(
+        binding("b1", "s", level=ProcessContextLevel.EVENT, kind=TargetKind.EVENT_ATTRIBUTE,
+                key="v", correlation=correlation, derivation=Derivation(Aggregator.MEAN, "float"))
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        correlated, _ = counted(patch, ENGINE, "correlate_trace", lambda result: 0)
+        derived, _ = counted(patch, ENGINE, "derive_value", lambda result: 0)
+        result = enrich(log, index, plan)
+    assert len(result.audit) == events
+    assert len({id(record.readings) for record in result.audit}) == 1  # one tuple, shared
+    assert correlated == derived == [1]
+
+
 def test_subject_warning_emitted_once_per_binding_and_trace():
     log = mklog(tr("c1", [ev("a", at(0)), ev("b", at(10)), ev("c", at(20))]))
     index = build_index([stream("s", [reading("s", at(5), 1.0, subject="x")])])
@@ -1011,6 +1099,8 @@ def reference_enrich_trace(trace, index, plan):
 
     Event-attribute targets had a loop of their own, warned once and then
     skipped every further event, and rebuilt the event for every value written.
+    They correlated and derived for every event, also under a trace-scoped
+    strategy, which the kernel does once per trace.
     """
     case_id = trace.case_id
     events = list(trace.events)
@@ -1150,6 +1240,7 @@ DERIVATIONS = [
     Derivation(Aggregator.FIRST, "string"),  # not numeric: a process target fails
     Derivation(Aggregator.ANY_ABOVE, "boolean", threshold=30.0),
     Derivation(Aggregator.THRESHOLD_BUCKET, "string", boundaries=(20.0,), labels=("lo", "hi")),
+    Derivation(Aggregator.LAST, "boolean"),  # a float is no boolean: the derivation fails
 ]
 # Per target kind, the keys a binding may write: v, w and k collide with
 # attributes the drawn log may already hold, and derived_from with the mark
@@ -1278,6 +1369,15 @@ def test_the_binding_kernel_matches_the_two_copy_reference(
         expected = _result_or_error(lambda: enrich(log, index, plan))
     assert got == expected
     assert repr(got) == repr(expected)  # also each value's type: 1 == 1.0 == True
+    if not isinstance(got, tuple):
+        assert audit_text(got, index) == audit_text(expected, index)
+
+
+def audit_text(result, index) -> str:
+    """The audit.jsonl the enrich command writes for `result`."""
+    handle = io.StringIO()
+    cli._write_audit(handle, result.audit, index)
+    return handle.getvalue()
 
 
 def kernel_inputs(traces, s_rows, u_rows, binding_specs, rule_specs, policy):

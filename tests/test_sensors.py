@@ -11,6 +11,7 @@ import csv
 import json
 import tempfile
 from datetime import datetime, timedelta, timezone
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -471,12 +472,30 @@ def test_a_byte_that_is_not_utf8_is_a_located_ingest_error(tmp_path, fmt, bad):
     assert f"byte 0x{bad[0]:02x}" in str(err.value)
 
 
-def test_a_csv_field_over_the_size_limit_is_an_ingest_error_naming_the_file(tmp_path):
+def _oversized_field_csv(path: Path, before: list[str]) -> None:
+    """Five good rows, the lines `before`, then a row whose value is over csv's field size limit."""
     field = "x" * (csv.field_size_limit() + 1)
-    (tmp_path / "s1.csv").write_text(f'timestamp,value\n2024-03-01T12:00:00Z,"{field}"\n')
-    with pytest.raises(SensorIngestError, match="field larger than field limit") as err:
-        load_stream(decl(value_type="string"), tmp_path)
-    assert err.value.path == str(tmp_path / "s1.csv")
+    good = [f"2024-03-01T12:00:{s:02}Z,v" for s in range(5)]  # a chunk of 4, and one row more
+    lines = ["timestamp,value", *good, *before, f'2024-03-01T12:00:00Z,"{field}"']
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_a_csv_field_over_the_size_limit_is_an_ingest_error_naming_the_file(tmp_path):
+    _oversized_field_csv(tmp_path / "s1.csv", [])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sensors, "_CHUNK", 4)
+        with pytest.raises(SensorIngestError, match="field larger than field limit") as err:
+            load_stream(decl(value_type="string"), tmp_path)
+    assert (err.value.path, err.value.row) == (str(tmp_path / "s1.csv"), None)
+
+
+def test_a_bad_cell_before_an_oversized_field_in_its_chunk_is_named_first(tmp_path):
+    _oversized_field_csv(tmp_path / "s1.csv", ["2024-03-01T12:00:00Z,"])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sensors, "_CHUNK", 4)
+        with pytest.raises(SensorIngestError, match=r": missing value \(row 7\)$") as err:
+            load_stream(decl(value_type="string"), tmp_path)
+    assert (err.value.path, err.value.row) == (str(tmp_path / "s1.csv"), 7)
 
 
 def test_missing_file_is_an_ingest_error(tmp_path):
@@ -641,6 +660,42 @@ def reference_load_csv(path: Path, source: SourceDecl) -> SensorStream:
     return SensorStream(source.source_id, source.sensor_type, tuple(readings))
 
 
+def reference_csv_rows(reader, width: int, pick, source: SourceDecl, path: Path) -> list:
+    """The former `sensors._csv_rows`: the rows left in `reader`, one at a time."""
+    readings = []
+    share = {}.setdefault
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue  # a blank line
+            # Extra fields are ignored; fields past the row's end are absent.
+            row = row[:width] + [None] * (width - len(row))
+        row.append(None)
+        try:
+            readings.append(
+                sensors._reading_from_fields(pick(row), source, share, from_json=False)
+            )
+        except ValueError as exc:
+            raise SensorIngestError(str(exc), path=str(path), row=reader.line_num) from exc
+    return readings
+
+
+def reference_row_load_csv(path: Path, source: SourceDecl) -> SensorStream:
+    """The former row loader, which read a whole failing file with _csv_rows to name its bad row."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        column = {name: i for i, name in enumerate(header)}
+        for required in ("timestamp", "value"):
+            if required not in column:
+                raise SensorIngestError(f"header is missing column {required!r}", path=str(path))
+        width = len(header)
+        # An absent optional column reads index `width`: the None appended to every row.
+        pick = itemgetter(*(column.get(name, width) for name in sensors._FIELDS))
+        readings = reference_csv_rows(reader, width, pick, source, path)
+    return SensorStream(source.source_id, source.sensor_type, tuple(readings))
+
+
 # Any cell may hold any of CELLS; a column mostly draws from its own good cells.
 # Near format_timestamp's layout: the column reader must leave each to the rows.
 NEAR_LAYOUT = [
@@ -776,25 +831,32 @@ def test_load_csv_matches_the_dictreader_reference(value_type_and_text):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         # Chunks of 2-3 rows, so a blank line, a short row or the failing row
         # can fall in a later chunk than the first.
-        patch.setattr(sensors, "_CHUNK", 2 + len(text) % 2)
+        chunk = 2 + len(text) % 2
+        patch.setattr(sensors, "_CHUNK", chunk)
         rows_read = _count_row_reads(patch)
         path = Path(tmp) / source.path
         path.write_bytes(text.encode("utf-8"))
         got = _outcome(lambda: load_stream(source, tmp))
+        patch.undo()
         expected = _outcome(lambda: reference_load_csv(path, source))
-    assert got == expected
-    assert _failed(expected) or not rows_read  # the row reader reads only a file that fails
+        by_rows = _outcome(lambda: reference_row_load_csv(path, source))
+    assert got == expected == by_rows
+    # Rows are read again only in a file that fails, and at most one chunk of them.
+    assert len(rows_read) <= chunk and (_failed(expected) or not rows_read)
 
 
 def _count_row_reads(patch: pytest.MonkeyPatch) -> list:
-    """Patch sensors._csv_rows to note each call in the list returned."""
-    calls, read_rows = [], sensors._csv_rows
+    """Patch sensors._reading_from_fields to note each row it converts in the list returned.
 
-    def counted(*args):
-        calls.append(args)
-        return read_rows(*args)
+    Only the re-read of a chunk that fails converts CSV rows through it.
+    """
+    calls, convert = [], sensors._reading_from_fields
 
-    patch.setattr(sensors, "_csv_rows", counted)
+    def counted(fields, *args, **kwargs):
+        calls.append(fields)
+        return convert(fields, *args, **kwargs)
+
+    patch.setattr(sensors, "_reading_from_fields", counted)
     return calls
 
 
@@ -830,13 +892,14 @@ def test_a_file_of_one_chunk_or_one_more_row_is_read_by_columns_alone(tmp_path, 
     path.write_text(_csv_text(_canonical_rows(rows)))
     expected = _outcome(lambda: reference_load_csv(path, decl()))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sensors, "_csv_rows", None)  # the row reader is not called
+        rows_read = _count_row_reads(patch)
         got = _outcome(lambda: load_stream(decl(), tmp_path))
-    assert got == expected and len(got[1]) == rows
+    assert got == expected and len(got[1]) == rows and not rows_read
 
 
 # One cell of each kind outside format_timestamp's layout or the common case:
-# a file that loads is read by columns alone, one that fails again by rows.
+# a file that loads is read by columns alone; in one that fails, only the
+# chunk that holds the bad row is read again by rows.
 # None drops the column from the header and every row; a "row" cell replaces
 # a whole line.
 DOUBTS = [
@@ -882,8 +945,8 @@ def test_a_cell_in_doubt_in_a_later_chunk_reads_like_the_reference(
         rows_read = _count_row_reads(patch)
         got = _outcome(lambda: load_stream(source, tmp_path))
     expected = _outcome(lambda: reference_load_csv(path, source))
-    assert got == expected
-    assert bool(rows_read) is _failed(expected)
+    assert got == expected == _outcome(lambda: reference_row_load_csv(path, source))
+    assert bool(rows_read) is _failed(expected) and len(rows_read) <= 4  # one chunk at most
 
 
 @pytest.mark.parametrize("lon, fails", [("", False), ("4.3", True)])
@@ -900,7 +963,8 @@ def test_a_lon_column_without_lat_loads_only_while_it_is_empty(tmp_path, lon, fa
         rows_read = _count_row_reads(patch)
         got = _outcome(lambda: load_stream(decl(), tmp_path))
     expected = _outcome(lambda: reference_load_csv(path, decl()))
-    assert got == expected and _failed(got) is fails and bool(rows_read) is fails
+    assert got == expected and _failed(got) is fails
+    assert len(rows_read) == (3 if fails else 0)  # rows 4-6 of the second chunk
 
 
 def test_a_stream_written_with_gaps_is_read_back_by_columns_alone(tmp_path):
@@ -914,8 +978,29 @@ def test_a_stream_written_with_gaps_is_read_back_by_columns_alone(tmp_path):
     write_stream_csv(SensorStream("s1", "temperature", tuple(readings)), tmp_path / "s1.csv")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sensors, "_CHUNK", 4)
-        patch.setattr(sensors, "_csv_rows", None)  # the row reader is not called
+        rows_read = _count_row_reads(patch)
         assert load_stream(decl(), tmp_path).readings == tuple(readings)
+    assert not rows_read
+
+
+def test_a_refused_chunk_whose_rows_all_convert_keeps_them_and_reading_goes_on(tmp_path):
+    path = tmp_path / "s1.csv"
+    path.write_text(_csv_text(_canonical_rows(11)) + "\n")  # chunks of 4, 4 and 3 rows
+    refused = iter([False, True])  # the second chunk's timestamps are refused
+
+    def timestamps(stamps):
+        if next(refused, False):
+            raise ValueError("refused")
+        return convert(stamps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sensors, "_CHUNK", 4)
+        convert = sensors._chunk_timestamps
+        patch.setattr(sensors, "_chunk_timestamps", timestamps)
+        rows_read = _count_row_reads(patch)
+        got = _outcome(lambda: load_stream(decl(), tmp_path))
+    assert got == _outcome(lambda: reference_load_csv(path, decl()))
+    assert [fields[2] for fields in rows_read] == ["probe-1", "probe-2", "probe-0", "probe-1"]
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -924,6 +1009,10 @@ def test_a_bad_last_row_of_a_chunk_or_past_it_is_named_by_the_row_reader(tmp_pat
     lines = _canonical_rows(rows)
     lines[-1][2] = "x"
     (tmp_path / "s1.csv").write_text(_csv_text(lines))
-    with pytest.raises(SensorIngestError, match=r"could not convert") as err:
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(
+        SensorIngestError, match=r"could not convert"
+    ) as err:
+        rows_read = _count_row_reads(patch)
         load_stream(decl(), tmp_path)
     assert err.value.row == rows + 1  # the header is row 1
+    assert len(rows_read) == (sensors._CHUNK if extra == 0 else 1)  # only the bad row's chunk
