@@ -17,7 +17,6 @@ import sys
 from collections.abc import Mapping
 from datetime import datetime
 from importlib import import_module
-from operator import is_
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -44,7 +43,7 @@ if TYPE_CHECKING:
     )
     from .query import QueryParseError, parse_query, run_query
     from .scenario import GenConfig, GenConfigError, config_from_dict, generate, write_outputs
-    from .sensors import SensorIngestError, StreamIndex, _utf8_fault, build_index, load_stream
+    from .sensors import SensorIngestError, _utf8_fault, build_index, load_stream
 
 # The names that only some commands use, by the module that defines them.
 # Each subcommand declares the modules it runs (`needs` in `build_parser`),
@@ -210,55 +209,25 @@ def _json_text(value, text: _Encoded, times: Mapping[datetime, str]) -> str:
 _AUDIT_BATCH = 512  # lines per write
 
 
-def _write_audit(
-    handle, audit, index: StreamIndex, *, _times: Mapping[datetime, str] | None = None
-) -> None:
+def _write_audit(handle, audit, *, _times: Mapping[datetime, str] | None = None) -> None:
     """Write one JSON object per audit record, in the keys of docs/audit-format.md.
 
-    A record's readings are written as positions into its source's stream:
-    position p is `index.stream(source_id).readings[p]`. Positions are found
-    by identity, which holds because the index keeps every reading alive for
-    the whole run; a stream's map is built the first time a record needs it.
-    Readings that are the very objects of one stretch of the stream, as a
-    span_overlap correlation's are, are written as that stretch. Identity,
-    not equality: identical CSV rows are equal readings at distinct positions.
-    Each distinct kind, case id, binding id, source id, key and string value
-    is encoded once per call, and other values without json.dumps. A
-    datetime's text is taken from `_times` when it is there, as it is for
-    the timestamps the enrich command formats for both writers. Lines are
-    written _AUDIT_BATCH at a time.
+    A record's readings are positions into its source's stream, and are
+    written as they come. Each distinct kind, case id, binding id, source
+    id, key and string value is encoded once per call, and other values
+    without json.dumps. A datetime's text is taken from `_times` when it is
+    there, as it is for the timestamps the enrich command formats for both
+    writers. Lines are written _AUDIT_BATCH at a time.
     """
     text = _Encoded()
     times = {} if _times is None else _times
-    streams: dict[str, tuple[tuple, dict[int, int]]] = {}
     batch: list[str] = []
     for record in audit:
-        source_id = record.source_id
-        readings = record.readings
-        if not readings:
-            positions = ""
-        else:
-            stream = streams.get(source_id)
-            if stream is None:
-                all_readings = index.stream(source_id).readings
-                stream = streams[source_id] = (
-                    all_readings,
-                    {id(r): p for p, r in enumerate(all_readings)},
-                )
-            all_readings, at = stream
-            lo = at[id(readings[0])]
-            hi = lo + len(readings)
-            if len(readings) == 1:
-                positions = str(lo)
-            elif hi <= len(all_readings) and all(map(is_, all_readings[lo:hi], readings)):
-                positions = ", ".join(map(str, range(lo, hi)))
-            else:
-                positions = ", ".join([str(at[id(r)]) for r in readings])
         line = (
             f'{{"kind": {text[record.kind]}, "case_id": {text[record.case_id]}, '
-            f'"binding_id": {text[record.binding_id]}, "source_id": {text[source_id]}, '
+            f'"binding_id": {text[record.binding_id]}, "source_id": {text[record.source_id]}, '
             f'"key": {text[record.key]}, "value": {_json_text(record.value, text, times)}, '
-            f'"readings": [{positions}]'
+            f'"readings": [{", ".join(map(str, record.readings))}]'
         )
         if record.event_index is not None:
             line += f', "event_index": {record.event_index}'
@@ -271,7 +240,7 @@ def _write_audit(
     handle.write("".join(batch))
 
 
-def _write_enrichment(result: EnrichmentResult, index: StreamIndex, out_dir: str) -> dict:
+def _write_enrichment(result: EnrichmentResult, out_dir: str) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # A derived event's timestamp is written twice, as the event's and as
@@ -286,7 +255,7 @@ def _write_enrichment(result: EnrichmentResult, index: StreamIndex, out_dir: str
     )
     audit_path = out / "audit.jsonl"
     with audit_path.open("w", encoding="utf-8") as handle:
-        _write_audit(handle, result.audit, index, _times=times)
+        _write_audit(handle, result.audit, _times=times)
     return {
         "log": str(log_path),
         "report": str(report_path),
@@ -311,7 +280,7 @@ def cmd_enrich(args) -> int:
     except (CollisionError, DerivationError) as exc:
         _emit({"error": str(exc)}, args.format)
         return EXIT_VALIDATION
-    _emit(_write_enrichment(result, index, args.out), args.format)
+    _emit(_write_enrichment(result, args.out), args.format)
     return EXIT_OK
 
 

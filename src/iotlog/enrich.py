@@ -15,7 +15,8 @@ record, and nothing pre-existing is ever removed or reordered.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain, compress
@@ -101,10 +102,10 @@ class AuditRecord:
 
     kind is "event_attribute", "case_attribute" or "derived_event";
     binding_id holds the rule_id for derived events. event_index points into
-    the final event tuple of the trace. readings are the sensor readings the
-    value was derived from (for a derived event, the reading that started
-    the run). replaced holds the previous value when collision_policy =
-    overwrite displaced one.
+    the final event tuple of the trace. readings holds the stream positions
+    of the readings the value was derived from, as the correlation gave them
+    (for a derived event, a 1-tuple: the reading that started the run).
+    replaced holds the previous value when collision_policy = overwrite displaced one.
     """
 
     kind: str
@@ -113,7 +114,7 @@ class AuditRecord:
     source_id: str
     key: str  # attribute key, or activity name for derived events
     value: AttrValue
-    readings: tuple[SensorReading, ...] = ()
+    readings: Sequence[int] = ()
     event_index: int | None = None
     replaced: AttrValue | None = None
 
@@ -134,7 +135,7 @@ def _audit_record(
     source_id: str,
     key: str,
     value: AttrValue,
-    readings: tuple[SensorReading, ...],
+    readings: Sequence[int],
     event_index: int | None = None,
     replaced: AttrValue | None = None,
 ) -> AuditRecord:
@@ -189,19 +190,26 @@ class EnrichmentResult:
 # --- correlation ------------------------------------------------------------
 
 _NEAREST = (CorrelationStrategy.NEAREST_BEFORE, CorrelationStrategy.NEAREST_WITHIN)
+_NOTHING = range(0)
 _timestamp = attrgetter("timestamp")
 
 
-def _nearest(
-    correlation: Correlation, index: StreamIndex, source_id: str, t: datetime
-) -> list[SensorReading]:
-    """The reading a nearest_* strategy picks for the anchor t, if there is one."""
+def _nearest(correlation: Correlation, index: StreamIndex, source_id: str, t: datetime) -> range:
+    """The position a nearest_* strategy picks for the anchor t, as a range of one or none."""
     if correlation.strategy is CorrelationStrategy.NEAREST_BEFORE:
         best = index.latest_at_or_before(source_id, t)
     else:
         assert correlation.window_seconds is not None
         best = index.nearest(source_id, t, timedelta(seconds=correlation.window_seconds))
-    return [best] if best is not None else []
+    return _NOTHING if best is None else range(best, best + 1)
+
+
+def _readings_at(index: StreamIndex, source_id: str, positions: Sequence[int]) -> Sequence:
+    """The readings at `positions` in a source's stream; a range is a slice of it."""
+    readings = index.stream(source_id).readings
+    if type(positions) is range:
+        return readings[positions.start : positions.stop]
+    return list(map(readings.__getitem__, positions))
 
 
 def correlate_event(
@@ -212,9 +220,9 @@ def correlate_event(
     events: list[Event],
     trace_attrs: dict[str, AttrValue],
     case_id: str,
-) -> tuple[list[SensorReading], str | None]:
-    """Readings matched to one event. Trace-scoped strategies fall back to
-    the whole span, so every event of the trace sees the same readings."""
+) -> tuple[Sequence[int], str | None]:
+    """Stream positions matched to one event (a range of at most one, or under a
+    trace-scoped strategy correlate_trace's), and an optional warning."""
     if correlation.strategy in _NEAREST:
         return _nearest(correlation, index, source_id, event.timestamp), None
     return correlate_trace(correlation, index, source_id, events, trace_attrs, case_id)
@@ -227,39 +235,32 @@ def correlate_trace(
     events: list[Event],
     trace_attrs: dict[str, AttrValue],
     case_id: str,
-) -> tuple[list[SensorReading], str | None]:
-    """Readings matched to a whole trace, plus an optional warning.
+) -> tuple[Sequence[int], str | None]:
+    """Stream positions matched to a whole trace: a range, or an array('q')
+    under subject_key_equals; plus an optional warning.
 
     The nearest_* strategies anchor on the last event when applied at trace
     scope. An empty trace has no span and correlates with nothing.
     """
     if not events:
-        return [], None
+        return _NOTHING, None
     first, last = events[0].timestamp, events[-1].timestamp
     if correlation.strategy is CorrelationStrategy.SPAN_OVERLAP:
         return index.range_query(source_id, first, last), None
     if correlation.strategy is CorrelationStrategy.SUBJECT_KEY_EQUALS:
         name = correlation.subject_attribute
         assert name is not None
-        if name == "case_id":
-            subject = case_id
-        elif name in trace_attrs:
-            raw = trace_attrs[name]
-            if isinstance(raw, str):
-                subject = raw
-            elif type(raw) is not bool and isinstance(raw, int):
-                subject = str(raw)
-            else:
-                return [], (
-                    f"case {case_id!r}: subject attribute {name!r} is not a string or "
-                    f"integer; nothing correlated"
-                )
-        else:
-            return [], f"case {case_id!r}: subject attribute {name!r} missing; nothing correlated"
-        readings = index.subject_readings(source_id, subject)
-        lo = bisect_left(readings, first, key=_timestamp)
-        hi = bisect_right(readings, last, lo=lo, key=_timestamp)
-        return readings[lo:hi], None
+        subject = case_id if name == "case_id" else trace_attrs.get(name)
+        if subject is None:
+            return _NOTHING, f"case {case_id!r}: subject attribute {name!r} missing; nothing correlated"
+        if type(subject) is not bool and isinstance(subject, int):
+            subject = str(subject)
+        elif not isinstance(subject, str):
+            return _NOTHING, (
+                f"case {case_id!r}: subject attribute {name!r} is not a string or "
+                f"integer; nothing correlated"
+            )
+        return index.subject_range(source_id, subject, first, last), None
     return _nearest(correlation, index, source_id, last), None
 
 
@@ -385,8 +386,9 @@ def derive_events(
     events: list[Event],
     trace_attrs: dict[str, AttrValue],
     case_id: str,
-) -> tuple[list[tuple[Event, SensorReading]], str | None]:
-    """Events a rule inserts for this trace: one per maximal run.
+) -> tuple[list[tuple[Event, int]], str | None]:
+    """Events a rule inserts for this trace, one per maximal run, each with
+    the stream position of its run's first reading; and an optional warning.
 
     The correlated readings are scanned in stream order; every maximal run
     of consecutive readings satisfying the condition yields one event at the
@@ -400,9 +402,10 @@ def derive_events(
     the events are then built without the checks of Event, which they pass:
     a reading's timestamp is normal, and the one mark needs no sort.
     """
-    readings, warning = correlate_trace(
+    positions, warning = correlate_trace(
         rule.correlation, index, rule.source_id, events, trace_attrs, case_id
     )
+    readings = _readings_at(index, rule.source_id, positions)
     marks = (Attribute(DERIVED_FROM_KEY, rule.rule_id),)  # one mark shared by the rule's events
     activity = rule.activity
     if not _writable(activity):
@@ -422,13 +425,13 @@ def derive_events(
     flags = list(map(rule.condition.predicate(), values))
     # A run starts where a reading holds and the one before it does not.
     starts = compress(range(len(flags)), map(gt, flags, chain((False,), flags)))
-    derived: list[tuple[Event, SensorReading]] = []
-    for trigger in map(readings.__getitem__, starts):
+    derived: list[tuple[Event, int]] = []
+    for start in starts:
         event = _new(Event)
         _set_activity(event, activity)
-        _set_timestamp(event, trigger.timestamp)
+        _set_timestamp(event, readings[start].timestamp)
         _set_attributes(event, marks)
-        derived.append((event, trigger))
+        derived.append((event, positions[start]))
     return derived, warning
 
 
@@ -458,7 +461,7 @@ def _enrich_trace(
     # Step 1: event derivation rules, all against the original span. A
     # candidate whose (activity, timestamp, rule) is already in the trace,
     # or was derived just before it, is dropped.
-    derived: list[tuple[EventDerivationRule, list[tuple[Event, SensorReading]]]] = []
+    derived: list[tuple[EventDerivationRule, list[tuple[Event, int]]]] = []
     for rule in plan.event_rules:
         pairs, warning = derive_events(rule, index, events, trace_attrs, case_id)
         if warning:
@@ -467,7 +470,7 @@ def _enrich_trace(
             derived.append((rule, pairs))
     if derived:
         seen = {(ev.activity, ev.timestamp, ev.get(DERIVED_FROM_KEY)) for ev in events}
-        inserted: list[tuple[EventDerivationRule, Event, SensorReading]] = []
+        inserted: list[tuple[EventDerivationRule, Event, int]] = []
         for rule, pairs in derived:
             activity, rule_id = rule.activity, rule.rule_id
             for ev, trigger in pairs:
@@ -507,15 +510,15 @@ def _enrich_trace(
         # gives every anchor the trace's readings, so it correlates and
         # derives once, for the first anchor.
         per_event = kind is TargetKind.EVENT_ATTRIBUTE and correlation.strategy in _NEAREST
-        readings = None
+        positions = None
         for pos in anchors:
-            if per_event or readings is None:
+            if per_event or positions is None:
                 if per_event:
-                    readings, warning = correlate_event(
+                    positions, warning = correlate_event(
                         correlation, index, source_id, events[pos], events, trace_attrs, case_id
                     )
                 else:
-                    readings, warning = correlate_trace(
+                    positions, warning = correlate_trace(
                         correlation, index, source_id, events, trace_attrs, case_id
                     )
                 if warning:
@@ -523,8 +526,8 @@ def _enrich_trace(
                     # would repeat for every further anchor: end the binding here.
                     warnings.append(warning)
                     break
+                readings = _readings_at(index, source_id, positions)
                 value = derive_value(binding.derivation, readings, f"binding {binding_id!r}")
-                readings = tuple(readings)
             if value is None:
                 continue
             if kind is TargetKind.PROCESS_REPORT_ENTRY:
@@ -553,7 +556,7 @@ def _enrich_trace(
                 written[pos] = attrs
             audit.append(
                 _audit_record(
-                    record_kind, case_id, binding_id, source_id, key, value, readings, pos,
+                    record_kind, case_id, binding_id, source_id, key, value, positions, pos,
                     replaced,
                 )
             )

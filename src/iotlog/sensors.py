@@ -12,8 +12,9 @@ import csv
 import json
 import math
 import re
+from array import array
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import islice, repeat
@@ -131,25 +132,22 @@ class SensorStream:
 class StreamIndex:
     """Immutable lookup structure over a set of streams.
 
-    Keeps each stream's sorted timestamps for closed-interval range queries
-    by bisection, and one list of readings per (source_id, subject_key), in
-    stream order and so sorted by timestamp, for subject-key lookups. Both
-    return readings in stream order. Safe for concurrent readers.
+    Keeps each stream's sorted timestamps, and per (source_id, subject_key),
+    built on the source's first subject lookup, the tuple of readings with
+    that key beside an array('q') of their stream positions. Lookups bisect
+    these and return positions into `stream(source_id).readings`, not copies;
+    a naive time is read as UTC. Safe for concurrent readers.
     """
 
     def __init__(self, streams: Iterable[SensorStream]):
         self._streams: dict[str, SensorStream] = {}
         self._timestamps: dict[str, list[datetime]] = {}
-        self._by_subject: dict[tuple[str, str], list[SensorReading]] = {}
+        self._subjects: dict[str, dict[str, tuple[tuple[SensorReading, ...], array]]] = {}
         for stream in streams:
             if stream.source_id in self._streams:
                 raise ValueError(f"duplicate source_id {stream.source_id!r}")
             self._streams[stream.source_id] = stream
             self._timestamps[stream.source_id] = [r.timestamp for r in stream.readings]
-            for reading in stream.readings:
-                if reading.subject_key is not None:
-                    key = (stream.source_id, reading.subject_key)
-                    self._by_subject.setdefault(key, []).append(reading)
 
     @property
     def streams(self) -> Mapping[str, SensorStream]:
@@ -161,39 +159,69 @@ class StreamIndex:
         except KeyError:
             raise UnknownSourceError(source_id) from None
 
-    def range_query(self, source_id: str, t1: datetime, t2: datetime) -> list[SensorReading]:
-        """All readings of a stream with t1 <= timestamp <= t2 (closed ends)."""
-        if t1 > t2:
-            raise ValueError("range_query requires t1 <= t2")
-        stream = self.stream(source_id)
-        timestamps = self._timestamps[source_id]
-        lo = bisect_left(timestamps, to_utc(t1))
-        hi = bisect_right(timestamps, to_utc(t2))
-        return list(stream.readings[lo:hi])
+    def _by_subject(self, source_id: str, subject_key: str) -> tuple[tuple, array]:
+        """A subject's readings and positions; of two racing builds, the first is kept."""
+        subjects = self._subjects.get(source_id)
+        if subjects is None:
+            readings, at = self.stream(source_id).readings, defaultdict(lambda: array("q"))
+            for position, reading in enumerate(readings):
+                if reading.subject_key is not None:
+                    at[reading.subject_key].append(position)
+            built = {k: (tuple(map(readings.__getitem__, p)), p) for k, p in at.items()}
+            subjects = self._subjects.setdefault(source_id, built)
+        return subjects.get(subject_key, _NO_SUBJECT)
 
-    def latest_at_or_before(self, source_id: str, t: datetime) -> SensorReading | None:
-        """The latest reading with timestamp <= t, or None."""
-        stream = self.stream(source_id)
-        idx = bisect_right(self._timestamps[source_id], to_utc_ms(t))
-        return stream.readings[idx - 1] if idx else None
+    def _times(self, source_id: str) -> list[datetime]:
+        if source_id not in self._timestamps:
+            raise UnknownSourceError(source_id)
+        return self._timestamps[source_id]
 
-    def nearest(self, source_id: str, t: datetime, window: timedelta) -> SensorReading | None:
-        """The reading nearest to t, at most `window` from it; of two as near the
-        earlier, of readings at one instant the first. None if there is none."""
-        readings, timestamps = self.stream(source_id).readings, self._timestamps[source_id]
-        t = to_utc(t)
+    def range_query(self, source_id: str, t1: datetime, t2: datetime) -> range:
+        """A range of the positions of the readings with t1 <= timestamp <= t2 (closed ends)."""
+        t1, t2 = _closed(t1, t2)
+        timestamps = self._times(source_id)
+        lo = bisect_left(timestamps, t1)
+        return range(lo, bisect_right(timestamps, t2, lo))
+
+    def latest_at_or_before(self, source_id: str, t: datetime) -> int | None:
+        """The position (an int) of the latest reading with timestamp <= t, or None."""
+        idx = bisect_right(self._times(source_id), to_utc_ms(t))
+        return idx - 1 if idx else None
+
+    def nearest(self, source_id: str, t: datetime, window: timedelta) -> int | None:
+        """The position (an int) of the reading nearest to t, at most `window` from it,
+        or None; of two as near the earlier, of readings at one instant the first."""
+        timestamps, t = self._times(source_id), to_utc(t)
         i = bisect_left(timestamps, t)  # the first reading at or after t
         near = [(timestamps[i] - t, i)] if i < len(timestamps) else []
         if i:  # and the first reading at the last instant before t
             near.append((t - timestamps[i - 1], bisect_left(timestamps, timestamps[i - 1], 0, i)))
         distance, best = min(near, default=(window, None))
-        return None if best is None or distance > window else readings[best]
+        return None if best is None or distance > window else best
 
-    def subject_readings(self, source_id: str, subject_key: str) -> list[SensorReading]:
-        """Readings of one stream carrying the given subject key, in order."""
-        if source_id not in self._streams:
-            raise UnknownSourceError(source_id)
-        return list(self._by_subject.get((source_id, subject_key), ()))
+    def subject_readings(self, source_id: str, subject_key: str) -> tuple[SensorReading, ...]:
+        """The stream's readings with the subject key, in order: the index's own tuple."""
+        return self._by_subject(source_id, subject_key)[0]
+
+    def subject_range(self, source_id: str, subject_key: str, t1: datetime, t2: datetime) -> array:
+        """The positions (an array('q')) of the subject's readings with t1 <= timestamp <= t2."""
+        t1, t2 = _closed(t1, t2)
+        readings = self.subject_readings(source_id, subject_key)
+        lo = bisect_left(readings, t1, key=_timestamp)
+        hi = bisect_right(readings, t2, lo, key=_timestamp)
+        return self._by_subject(source_id, subject_key)[1][lo:hi]
+
+
+_timestamp = attrgetter("timestamp")
+_NO_SUBJECT = ((), array("q"))
+
+
+def _closed(t1: datetime, t2: datetime) -> tuple[datetime, datetime]:
+    """The bounds of a closed interval, normalised; ValueError if t1 > t2."""
+    t1, t2 = to_utc(t1), to_utc(t2)
+    if t1 > t2:
+        raise ValueError("a closed interval requires t1 <= t2")
+    return t1, t2
 
 
 def build_index(streams: Iterable[SensorStream]) -> StreamIndex:

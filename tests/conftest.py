@@ -45,6 +45,12 @@ def reading(sensor_id: str, when: datetime, value, subject=None) -> SensorReadin
     return SensorReading(sensor_id=sensor_id, timestamp=when, value=value, subject_key=subject)
 
 
+def readings_at(index, source_id: str, positions) -> list[SensorReading]:
+    """The readings at `positions` in the index's stream of `source_id`."""
+    stream = index.stream(source_id).readings
+    return [stream[p] for p in positions]
+
+
 @pytest.fixture(autouse=True)
 def _the_cyclic_collector_stays_on():
     """Fail a test that leaves the cyclic garbage collector disabled; `cli.main` pauses it."""

@@ -48,10 +48,10 @@ from iotlog.plan import (
     Target,
     TargetKind,
 )
-from iotlog.sensors import SensorStream, StreamIndex, build_index
+from iotlog.sensors import SensorReading, SensorStream, StreamIndex, build_index
 from iotlog.xes import Attribute, Event, Trace
 
-from conftest import at, ev, mklog, reading, tr
+from conftest import at, ev, mklog, reading, readings_at, tr
 
 # The package attribute `iotlog.enrich` is the function; import_module gives the module.
 ENGINE = importlib.import_module("iotlog.enrich")
@@ -113,7 +113,7 @@ def test_nearest_before_matches_scan(rows, anchor):
         key=lambda r: (r.timestamp, r.sensor_id),
     )
     assert warning is None
-    assert got == ([candidates[-1]] if candidates else [])
+    assert readings_at(index, "s", got) == ([candidates[-1]] if candidates else [])
 
 
 def reference_nearest_within(index, source_id, t, window_seconds):
@@ -121,7 +121,7 @@ def reference_nearest_within(index, source_id, t, window_seconds):
     sensor_id) over every reading in [t - w, t + w], the first of equal ones."""
     window = timedelta(seconds=window_seconds)
     best, best_key = None, None
-    for r in index.range_query(source_id, t - window, t + window):
+    for r in readings_at(index, source_id, index.range_query(source_id, t - window, t + window)):
         key = (abs(r.timestamp - t), r.timestamp, r.sensor_id)
         if best_key is None or key < best_key:
             best, best_key = r, key
@@ -148,10 +148,12 @@ def test_nearest_within_matches_scan_with_tie_break(rows, anchor, window):
     correlation = Correlation(CorrelationStrategy.NEAREST_WITHIN, window_seconds=window)
     expected = reference_nearest_within(index, "s", at(anchor), window)
     got = index.nearest("s", at(anchor), timedelta(seconds=window))
-    assert got is expected  # identity: the first of equal readings in file order
+    # Identity: the first of equal readings in file order.
+    assert (None if got is None else index.stream("s").readings[got]) is expected
     t = ev("a", at(anchor)).timestamp  # an event's timestamp is whole milliseconds
     got, _ = correlate_event(correlation, index, "s", ev("a", t), [], {}, "c")
     expected = reference_nearest_within(index, "s", t, window)
+    got = readings_at(index, "s", got)
     assert len(got) == (expected is not None) and all(r is expected for r in got)
 
 
@@ -161,9 +163,9 @@ def test_nearest_within_keeps_a_sub_millisecond_window_closed():
     correlation = Correlation(CorrelationStrategy.NEAREST_WITHIN, window_seconds=0.0015)
     # Both readings lie 2 ms from the anchor, outside its 1.5 ms window.
     got, _ = correlate_event(correlation, index, "s", ev("a", at(0.002)), [], {}, "c")
-    assert got == []
+    assert readings_at(index, "s", got) == []
     got, _ = correlate_event(correlation, index, "s", ev("a", at(0.001)), [], {}, "c")
-    assert [r.value for r in got] == [0.0]
+    assert [r.value for r in readings_at(index, "s", got)] == [0.0]
 
 
 @given(rows, st.integers(0, 400), st.integers(0, 400))
@@ -178,7 +180,7 @@ def test_span_overlap_matches_scan(rows, a, b):
         for r in sorted(readings, key=lambda r: (r.timestamp, r.sensor_id))
         if at(lo) <= r.timestamp <= at(hi)
     ]
-    assert got == expected
+    assert readings_at(index, "s", got) == expected
 
 
 @given(rows, st.booleans())
@@ -202,7 +204,7 @@ def test_subject_key_equals_matches_scan(rows, use_case_id):
         if r.subject_key == "LPN-1" and at(0) <= r.timestamp <= at(400)
     ]
     assert warning is None
-    assert got == expected
+    assert readings_at(index, "s", got) == expected
 
 
 subject_rows = st.lists(
@@ -238,7 +240,7 @@ def test_subject_key_equals_across_sources_matches_a_stream_scan(rows, source_id
         if r.subject_key == subject and first <= r.timestamp <= last
     ]
     assert warning is None
-    assert got == expected
+    assert readings_at(index, source_id, got) == expected
 
 
 def test_trace_scope_nearest_strategies_anchor_on_the_last_event():
@@ -246,7 +248,7 @@ def test_trace_scope_nearest_strategies_anchor_on_the_last_event():
     index = build_index([stream("s", readings)])
     events = [ev("start", at(20)), ev("end", at(60))]
     got, _ = correlate_trace(BEFORE, index, "s", events, {}, "c")
-    assert [r.value for r in got] == [50.0]
+    assert [r.value for r in readings_at(index, "s", got)] == [50.0]
 
 
 def test_subject_attribute_integer_values_are_coerced():
@@ -261,7 +263,7 @@ def test_subject_attribute_integer_values_are_coerced():
         {"driver": 77},
         "c",
     )
-    assert warning is None and [r.value for r in got] == [1.0]
+    assert warning is None and [r.value for r in readings_at(index, "s", got)] == [1.0]
 
 
 def test_subject_attribute_missing_or_untyped_warns_and_matches_nothing():
@@ -271,14 +273,15 @@ def test_subject_attribute_missing_or_untyped_warns_and_matches_nothing():
         CorrelationStrategy.SUBJECT_KEY_EQUALS, subject_attribute="driver"
     )
     got, warning = correlate_trace(correlation, index, "s", events, {}, "c")
-    assert got == [] and "missing" in warning
+    assert readings_at(index, "s", got) == [] and "missing" in warning
     got, warning = correlate_trace(correlation, index, "s", events, {"driver": 1.5}, "c")
-    assert got == [] and "not a string or integer" in warning
+    assert readings_at(index, "s", got) == [] and "not a string or integer" in warning
 
 
 def test_empty_trace_correlates_with_nothing():
     index = build_index([stream("s", [reading("s", at(5), 1.0)])])
-    assert correlate_trace(SPAN, index, "s", [], {}, "c") == ([], None)
+    got, warning = correlate_trace(SPAN, index, "s", [], {}, "c")
+    assert readings_at(index, "s", got) == [] and warning is None
 
 
 # --- derivation ----------------------------------------------------------------
@@ -433,7 +436,7 @@ def test_one_event_per_maximal_run():
     ]
     # the event lands on the run's first reading and records its trigger
     assert derived[0][0].get("derived_from") == "r1"
-    assert derived[0][1].value == 35.0
+    assert index.stream("s").readings[derived[0][1]].value == 35.0
 
 
 def test_run_spanning_the_whole_stream_yields_one_event():
@@ -524,8 +527,9 @@ def test_case_attribute_binding_attaches_and_audits():
         source_id="s",
         key="temp",
         value=21.5,
-        readings=(reading("s", at(30), 21.5),),
+        readings=record.readings,
     )
+    assert readings_at(index, "s", record.readings) == [reading("s", at(30), 21.5)]
 
 
 def test_event_attribute_binding_honors_activity_filter():
@@ -899,6 +903,57 @@ def test_a_trace_scoped_event_binding_correlates_and_derives_once_per_trace(even
     assert correlated == derived == [1]
 
 
+class CountedReading(SensorReading):
+    """A reading that counts the reads of its timestamp, as a bisection's key calls do."""
+
+    reads = 0
+
+    @property
+    def timestamp(self):
+        CountedReading.reads += 1
+        return SensorReading.timestamp.__get__(self)
+
+
+def counted_reading(when, value, subject) -> CountedReading:
+    r = object.__new__(CountedReading)
+    for name, field_value in zip(SensorReading.__slots__, ("s", when, value, None, subject, None)):
+        getattr(SensorReading, name).__set__(r, field_value)
+    return r
+
+
+def one_subject_over(cases: int):
+    """`cases` one-minute traces keyed by one plate, and 4 readings of it per case."""
+    log = mklog(
+        *(
+            tr(f"c{i}", [ev("a", at(60 * i)), ev("b", at(60 * i + 40))], plate="x")
+            for i in range(cases)
+        )
+    )
+    readings = [
+        counted_reading(at(60 * i + 10 * k), float(k), "x") for i in range(cases) for k in range(4)
+    ]
+    return log, build_index([stream("s", readings)])
+
+
+def test_subject_key_equals_bisects_the_subject_without_copying_it():
+    correlation = Correlation(CorrelationStrategy.SUBJECT_KEY_EQUALS, subject_attribute="plate")
+    calls = {}
+    for cases in (250, 1000):  # n and 4n
+        log, index = one_subject_over(cases)
+        assert index.subject_readings("s", "x") is index.subject_readings("s", "x")
+        trace = log.traces[cases // 2]
+        CountedReading.reads = 0
+        got, warning = correlate_trace(
+            correlation, index, "s", list(trace.events), {"plate": "x"}, trace.case_id
+        )
+        calls[cases] = CountedReading.reads
+        first, last = trace.events[0].timestamp, trace.events[-1].timestamp
+        expected = [r for r in index.stream("s").readings if first <= r.timestamp <= last]
+        assert warning is None and readings_at(index, "s", got) == expected and len(got) == 4
+    # Two bisections, each of at most 2 more steps over 4 times the readings.
+    assert calls[1000] <= calls[250] + 4, calls
+
+
 def test_subject_warning_emitted_once_per_binding_and_trace():
     log = mklog(tr("c1", [ev("a", at(0)), ev("b", at(10)), ev("c", at(20))]))
     index = build_index([stream("s", [reading("s", at(5), 1.0, subject="x")])])
@@ -923,7 +978,8 @@ def test_subject_warning_emitted_once_per_binding_and_trace():
 
 def reference_runs(rule, index, events, attrs, case_id):
     """The former loop of `derive_events`: each maximal run's first reading, read one by one."""
-    readings, _ = correlate_trace(rule.correlation, index, rule.source_id, events, attrs, case_id)
+    positions, _ = correlate_trace(rule.correlation, index, rule.source_id, events, attrs, case_id)
+    readings = readings_at(index, rule.source_id, positions)
     triggers, in_run = [], False
     for r in readings:
         if rule.condition.holds(float(r.value)):
@@ -974,7 +1030,10 @@ def enrich_against_reference(log, index, rules):
         e[:-1] for e in expected
     ]
     # Each record's reading is its run's first reading itself, not an equal one.
-    assert all(r.readings[0] is e[-1] and len(r.readings) == 1 for r, e in zip(records, expected))
+    assert all(
+        len(r.readings) == 1 and readings_at(index, r.source_id, r.readings)[0] is e[-1]
+        for r, e in zip(records, expected)
+    )
     for r in records:
         event = result.log.trace(r.case_id).events[r.event_index]
         assert (event.activity, event.timestamp) == (r.key, r.value)
@@ -1100,7 +1159,8 @@ def reference_enrich_trace(trace, index, plan):
     Event-attribute targets had a loop of their own, warned once and then
     skipped every further event, and rebuilt the event for every value written.
     They correlated and derived for every event, also under a trace-scoped
-    strategy, which the kernel does once per trace.
+    strategy, which the kernel does once per trace. Its records hold the
+    stream positions each correlation returned.
     """
     case_id = trace.case_id
     events = list(trace.events)
@@ -1148,7 +1208,7 @@ def reference_enrich_trace(trace, index, plan):
             for pos, event in enumerate(events):
                 if wanted and event.activity not in wanted:
                     continue
-                readings, warning = correlate_event(
+                positions, warning = correlate_event(
                     b.correlation, index, source_id, event, events, trace_attrs, case_id
                 )
                 if warning:
@@ -1156,6 +1216,7 @@ def reference_enrich_trace(trace, index, plan):
                         warnings.append(warning)
                         warned = True
                     continue
+                readings = readings_at(index, source_id, positions)
                 value = derive_value(b.derivation, readings, f"binding {b.binding_id!r}")
                 if value is None:
                     continue
@@ -1175,19 +1236,20 @@ def reference_enrich_trace(trace, index, plan):
                         source_id=source_id,
                         key=key,
                         value=value,
-                        readings=tuple(readings),
+                        readings=positions,
                         event_index=pos,
                         replaced=replaced,
                     )
                 )
             continue
 
-        readings, warning = correlate_trace(
+        positions, warning = correlate_trace(
             b.correlation, index, source_id, events, trace_attrs, case_id
         )
         if warning:
             warnings.append(warning)
             continue
+        readings = readings_at(index, source_id, positions)
         value = derive_value(b.derivation, readings, f"binding {b.binding_id!r}")
         if value is None:
             continue
@@ -1204,7 +1266,7 @@ def reference_enrich_trace(trace, index, plan):
                         source_id=source_id,
                         key=key,
                         value=value,
-                        readings=tuple(readings),
+                        readings=positions,
                         replaced=replaced,
                     )
                 )
@@ -1370,13 +1432,13 @@ def test_the_binding_kernel_matches_the_two_copy_reference(
     assert got == expected
     assert repr(got) == repr(expected)  # also each value's type: 1 == 1.0 == True
     if not isinstance(got, tuple):
-        assert audit_text(got, index) == audit_text(expected, index)
+        assert audit_text(got) == audit_text(expected)
 
 
-def audit_text(result, index) -> str:
+def audit_text(result) -> str:
     """The audit.jsonl the enrich command writes for `result`."""
     handle = io.StringIO()
-    cli._write_audit(handle, result.audit, index)
+    cli._write_audit(handle, result.audit)
     return handle.getvalue()
 
 

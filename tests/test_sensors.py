@@ -10,8 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import tempfile
+from bisect import bisect_left, bisect_right
 from datetime import datetime, timedelta, timezone
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import pytest
@@ -30,9 +31,9 @@ from iotlog.sensors import (
     build_index,
     load_stream,
 )
-from iotlog.timeutil import format_timestamp, parse_timestamp
+from iotlog.timeutil import format_timestamp, parse_timestamp, to_utc, to_utc_ms
 
-from conftest import T0, at, reading
+from conftest import T0, at, reading, readings_at
 
 
 def decl(source_id="s1", *, fmt="csv", value_type="decimal", path=None) -> SourceDecl:
@@ -129,7 +130,7 @@ bounds = st.tuples(offsets, st.integers(min_value=-999, max_value=999)).map(
 def test_range_query_equals_filter_by_scan(stream, a, b):
     t1, t2 = min(a, b), max(a, b)
     index = build_index([stream])
-    got = index.range_query("s1", t1, t2)
+    got = readings_at(index, "s1", index.range_query("s1", t1, t2))
     expected = [r for r in stream.readings if t1 <= r.timestamp <= t2]
     assert got == expected
 
@@ -139,14 +140,20 @@ def test_latest_at_or_before_equals_scan(stream, t):
     index = build_index([stream])
     got = index.latest_at_or_before("s1", at(t))
     candidates = [r for r in stream.readings if r.timestamp <= at(t)]
-    assert got == (candidates[-1] if candidates else None)
+    assert (None if got is None else stream.readings[got]) == (
+        candidates[-1] if candidates else None
+    )
 
 
 def test_range_query_is_closed_on_both_ends():
     stream = SensorStream("s1", "x", tuple(reading("a", at(s), float(s)) for s in (0, 5, 10)))
     index = build_index([stream])
-    assert [r.value for r in index.range_query("s1", at(0), at(10))] == [0.0, 5.0, 10.0]
-    assert [r.value for r in index.range_query("s1", at(1), at(9))] == [5.0]
+    assert [r.value for r in readings_at(index, "s1", index.range_query("s1", at(0), at(10)))] == [
+        0.0, 5.0, 10.0
+    ]
+    assert [r.value for r in readings_at(index, "s1", index.range_query("s1", at(1), at(9)))] == [
+        5.0
+    ]
 
 
 def test_range_query_rejects_inverted_interval():
@@ -155,10 +162,51 @@ def test_range_query_rejects_inverted_interval():
         index.range_query("s1", at(10), at(0))
 
 
+PLUS_TWO = timezone(timedelta(hours=2))
+
+
+@pytest.mark.parametrize(
+    "t1, t2",
+    [
+        (T0.replace(tzinfo=None), at(10)),  # naive, aware
+        (at(5).astimezone(PLUS_TWO), at(10).replace(tzinfo=None)),  # +02:00, naive
+    ],
+)
+def test_range_lookups_read_a_naive_bound_as_utc(t1, t2):
+    subject_of = {0: "x", 5: "x", 10: "y", 15: "x"}
+    stream = SensorStream(
+        "s1", "x", tuple(reading("a", at(s), float(s), subject=k) for s, k in subject_of.items())
+    )
+    index = build_index([stream])
+    start = 0.0 if t1.tzinfo is None else 5.0
+    expected = [v for v in (0.0, 5.0, 10.0) if v >= start]
+    assert [r.value for r in readings_at(index, "s1", index.range_query("s1", t1, t2))] == expected
+    got = readings_at(index, "s1", index.subject_range("s1", "x", t1, t2))
+    assert [r.value for r in got] == [v for v in expected if subject_of[int(v)] == "x"]
+
+
+def test_range_lookups_refuse_bounds_out_of_order_once_normalised():
+    index = build_index([SensorStream("s1", "x", (reading("a", at(5), 5.0, subject="x"),))])
+    # 14:00:10+02:00 is 12:00:10 UTC, after the naive 12:00:05 read as UTC.
+    t1, t2 = at(10).astimezone(PLUS_TWO), at(5).replace(tzinfo=None)
+    with pytest.raises(ValueError, match="t1 <= t2"):
+        index.range_query("s1", t1, t2)
+    with pytest.raises(ValueError, match="t1 <= t2"):
+        index.subject_range("s1", "x", t1, t2)
+
+
 def test_unknown_source_raises():
     index = build_index([])
     with pytest.raises(UnknownSourceError):
         index.stream("nope")
+    for lookup in (
+        lambda: index.range_query("nope", at(0), at(1)),
+        lambda: index.latest_at_or_before("nope", at(0)),
+        lambda: index.nearest("nope", at(0), timedelta(seconds=1)),
+        lambda: index.subject_range("nope", "x", at(0), at(1)),
+    ):
+        with pytest.raises(UnknownSourceError):
+            lookup()
 
 
 def test_duplicate_source_ids_are_rejected():
@@ -175,19 +223,129 @@ def test_subject_readings_filters_by_stream_and_key():
     )
     index = build_index([s1, s2])
     assert [r.value for r in index.subject_readings("s2", "LPN-1")] == [2.0]
-    assert index.subject_readings("s2", "missing") == []
+    assert index.subject_readings("s2", "missing") == ()
 
 
 def test_subject_readings_stay_within_the_asked_source():
     s1 = SensorStream("s1", "rfid", (reading("a", at(0), 1.0, subject="LPN-1"),))
     s2 = SensorStream("s2", "rfid", (reading("a", at(1), 2.0, subject="LPN-2"),))
     index = build_index([s1, s2])
-    assert index.subject_readings("s2", "LPN-1") == []
+    assert index.subject_readings("s2", "LPN-1") == ()
     with pytest.raises(UnknownSourceError):
         index.subject_readings("nope", "LPN-1")
-    fresh = index.subject_readings("s1", "LPN-1")
-    fresh.clear()
+    # The index hands out its own tuple, the same on every call, which no caller can change.
+    kept = index.subject_readings("s1", "LPN-1")
+    assert type(kept) is tuple and index.subject_readings("s1", "LPN-1") is kept
     assert [r.value for r in index.subject_readings("s1", "LPN-1")] == [1.0]
+
+
+# --- position lookups vs the former reading lookups ---------------------------
+
+
+class ReferenceIndex:
+    """The former StreamIndex lookups, which returned readings, not positions.
+
+    range_query and subject_readings returned fresh lists; subject_range is
+    what the engine did with subject_readings' list before subject_range
+    existed. Bounds are compared before they are normalised, as they were,
+    so only bounds of one kind are passed here.
+    """
+
+    def __init__(self, streams):
+        self._streams, self._timestamps, self._by_subject = {}, {}, {}
+        for stream in streams:
+            self._streams[stream.source_id] = stream
+            self._timestamps[stream.source_id] = [r.timestamp for r in stream.readings]
+            for r in stream.readings:
+                if r.subject_key is not None:
+                    key = (stream.source_id, r.subject_key)
+                    self._by_subject.setdefault(key, []).append(r)
+
+    def range_query(self, source_id, t1, t2):
+        if t1 > t2:
+            raise ValueError("range_query requires t1 <= t2")
+        timestamps = self._timestamps[source_id]
+        lo = bisect_left(timestamps, to_utc(t1))
+        hi = bisect_right(timestamps, to_utc(t2))
+        return list(self._streams[source_id].readings[lo:hi])
+
+    def latest_at_or_before(self, source_id, t):
+        idx = bisect_right(self._timestamps[source_id], to_utc_ms(t))
+        return self._streams[source_id].readings[idx - 1] if idx else None
+
+    def nearest(self, source_id, t, window):
+        readings, timestamps = self._streams[source_id].readings, self._timestamps[source_id]
+        t = to_utc(t)
+        i = bisect_left(timestamps, t)
+        near = [(timestamps[i] - t, i)] if i < len(timestamps) else []
+        if i:
+            near.append((t - timestamps[i - 1], bisect_left(timestamps, timestamps[i - 1], 0, i)))
+        distance, best = min(near, default=(window, None))
+        return None if best is None or distance > window else readings[best]
+
+    def subject_readings(self, source_id, subject_key):
+        return list(self._by_subject.get((source_id, subject_key), ()))
+
+    def subject_range(self, source_id, subject_key, t1, t2):
+        readings = self.subject_readings(source_id, subject_key)
+        lo = bisect_left(readings, t1, key=attrgetter("timestamp"))
+        hi = bisect_right(readings, t2, lo=lo, key=attrgetter("timestamp"))
+        return readings[lo:hi]
+
+
+# Readings on a grid of half seconds, so timestamps tie within and across
+# sensor ids; each with one of two subject keys or none. A source may be empty.
+source_rows = st.lists(
+    st.tuples(st.integers(0, 16), st.sampled_from("abc"), st.sampled_from(["p1", "p2", None])),
+    max_size=25,
+)
+# Bounds on the grid, a millisecond or less off it, in UTC or at +02:00.
+lookup_times = st.builds(
+    lambda half, micros, zone: (at(half / 2) + timedelta(microseconds=micros)).astimezone(zone),
+    st.integers(0, 17),
+    st.sampled_from([0, 0, -1000, -1, 1, 500, 1000]),
+    st.sampled_from([timezone.utc, PLUS_TWO]),
+)
+
+
+@given(
+    st.fixed_dictionaries({"s": source_rows, "u": source_rows}),
+    st.sampled_from(["s", "u"]),
+    st.sampled_from(["p1", "p2", "p3"]),  # p3 is on no reading
+    lookup_times,
+    lookup_times,
+    st.sampled_from([0, 0.0015, 0.5, 1, 3]),
+)
+def test_position_lookups_match_the_former_reading_lookups(rows, source_id, subject, a, b, window):
+    streams = [
+        SensorStream(
+            sid, "x", tuple(reading(sensor, at(half / 2), float(half), key) for half, sensor, key in body)
+        )
+        for sid, body in rows.items()
+    ]
+    index, reference = build_index(streams), ReferenceIndex(streams)
+    stream = index.stream(source_id).readings
+
+    def same(positions, readings):
+        return len(positions) == len(readings) and all(
+            stream[p] is r for p, r in zip(positions, readings)
+        )
+
+    t1, t2 = sorted((a, b))
+    assert same(index.range_query(source_id, t1, t2), reference.range_query(source_id, t1, t2))
+    got = index.subject_range(source_id, subject, t1, t2)
+    assert same(got, reference.subject_range(source_id, subject, t1, t2))
+    subject_readings = index.subject_readings(source_id, subject)
+    assert subject_readings is index.subject_readings(source_id, subject)
+    assert list(subject_readings) == reference.subject_readings(source_id, subject)
+    assert all(r.subject_key == subject for r in subject_readings)
+    for t in (a, b):
+        expected = reference.latest_at_or_before(source_id, t)
+        got = index.latest_at_or_before(source_id, t)
+        assert (None if got is None else stream[got]) is expected
+        expected = reference.nearest(source_id, t, timedelta(seconds=window))
+        got = index.nearest(source_id, t, timedelta(seconds=window))
+        assert (None if got is None else stream[got]) is expected
 
 
 # --- file loading -------------------------------------------------------------
